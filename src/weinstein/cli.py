@@ -327,20 +327,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _set_threads(n: Optional[int]):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except Exception:
-        log.debug("threadpoolctl unavailable; thread cap applies to new pools")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weinstein",
@@ -355,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap numeric thread pools")
         p.add_argument("--log-level", choices=("info", "debug"),
                        default="info")
     return parser
@@ -369,7 +353,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()),
                         format="%(levelname)s %(name)s: %(message)s")
-    _set_threads(args.threads)
     try:
         with open(args.config) as fh:
             raw = json.load(fh)

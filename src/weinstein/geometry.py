@@ -12,14 +12,27 @@ the domain so that refinement preserves the symmetry of node positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDomain, UnsupportedShape
 
 R_AXIS = 0  # index of the weighted radial coordinate
+NEWTON_MAX_ITER = 40  # cap on the Newton iterations of the ellipsoid distance
+
+
+def _quadric_axis_cut(points, center, semi, axis, direction, h):
+    """Step fraction at which the line from each point along (axis,
+    direction) leaves sum((q_i / s_i)^2) <= 1, q = x - (0, center).
+
+    On the line only q_axis moves, so the crossing solves a scalar
+    quadratic; the arm takes its larger root."""
+    q = np.asarray(points, dtype=float) - np.array([0.0, *center])
+    s = np.asarray(semi, dtype=float)
+    rest = np.delete(q / s, axis, axis=-1)
+    room = np.sqrt(np.maximum(1.0 - np.sum(rest * rest, axis=-1), 0.0))
+    return (s[axis] * room - direction * q[..., axis]) / h
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +91,12 @@ class Ball:
         g[..., 0] *= np.sign(x[..., 0])
         return g
 
+    def axis_cut(self, points, axis, direction, h):
+        """Fraction of the step h along (axis, direction) at which the arm
+        from each inside point leaves the ball."""
+        return _quadric_axis_cut(points, self.center, (self.radius,) * (self.k + 1),
+                                 axis, direction, h)
+
     def descriptor(self):
         return {"type": "ball", "radius": self.radius, "center": list(self.center)}
 
@@ -89,10 +108,13 @@ class Ellipsoid:
     semi_axes[0] is the r semi-axis.  The signed distance is the true
     Euclidean distance, found from the first-order conditions for the
     nearest boundary point: p_i = s_i^2 q_i / (s_i^2 + t) with t the root
-    of sum((s_i q_i / (s_i^2 + t))^2) = 1 (bisection plus Newton polish).
-    Deep inside, past the medial axis where that root can disappear, a
+    of f(t) = sum((s_i q_i / (s_i^2 + t))^2) - 1.  f is convex and
+    decreasing on t > -min(s)^2, so Newton started left of the root, where
+    the largest single term equals 1, climbs to it monotonically.  Deep
+    inside, past the medial axis where that root can disappear, a
     conservative proxy (1 - |q/s|) * min(s) is used; all boundary-local
-    consumers (cut fractions, probes) stay on the exact branch.
+    consumers (probes, volume fractions) stay on the exact branch.  Cut
+    fractions along grid lines come in closed form from `axis_cut`.
     """
 
     semi_axes: tuple
@@ -139,27 +161,7 @@ class Ellipsoid:
         s2 = s * s
         flat = q.reshape(-1, q.shape[-1])
         level = np.sqrt(np.sum((flat / s) ** 2, axis=-1))
-
-        def f(t):
-            return np.sum((s * flat / (s2 + t[:, None])) ** 2, axis=-1) - 1.0
-
-        lo = np.full(flat.shape[0], -s2.min() + 1e-14 * s2.min())
-        hi = np.linalg.norm(flat, axis=-1) * s.max() + s2.max()
-        deep = f(lo) < 0  # no root: inside the evolute
-        lo_w, hi_w = lo.copy(), hi.copy()
-        for _ in range(80):
-            mid = 0.5 * (lo_w + hi_w)
-            pos = f(mid) > 0
-            lo_w = np.where(pos, mid, lo_w)
-            hi_w = np.where(pos, hi_w, mid)
-        t = 0.5 * (lo_w + hi_w)
-        for _ in range(3):  # Newton polish
-            val = f(t)
-            der = -2.0 * np.sum(s2 * flat**2 / (s2 + t[:, None]) ** 3, axis=-1)
-            step = np.divide(val, der, out=np.zeros_like(val), where=der != 0)
-            t_new = t - step
-            ok = t_new > lo
-            t = np.where(ok, t_new, t)
+        t, deep, _ = _ellipsoid_root(s * flat, s2)
         p = s2 * flat / (s2 + t[:, None])
         return p.reshape(q.shape), deep.reshape(q.shape[:-1]), level.reshape(q.shape[:-1])
 
@@ -191,12 +193,45 @@ class Ellipsoid:
         g[..., 0] *= np.sign(x[..., 0])
         return g
 
+    def axis_cut(self, points, axis, direction, h):
+        """Fraction of the step h along (axis, direction) at which the arm
+        from each inside point leaves the ellipsoid."""
+        return _quadric_axis_cut(points, self.center, self.semi_axes, axis, direction, h)
+
     def descriptor(self):
         return {
             "type": "ellipsoid",
             "semi_axes": list(self.semi_axes),
             "center": list(self.center),
         }
+
+
+def _ellipsoid_root(sq, s2):
+    """Root t of f(t) = sum((sq_i / (s2_i + t))^2) - 1 on t > -min(s2) per
+    row of sq (rows s_i q_i), by Newton from the left.
+
+    Rows with f(lo) < 0 just right of the pole have no root ('deep', inside
+    the evolute) and keep t = lo.  Every other row starts at
+    max_i(|sq_i| - s2_i), where its largest term equals 1, and leaves the
+    active set once its step is at the rounding level.  Returns t, the
+    deep mask and the number of sweeps run (NEWTON_MAX_ITER only if some
+    row never converged)."""
+    s2_min = s2.min()
+    lo = -s2_min + 1e-14 * s2_min
+    deep = np.sum((sq / (s2 + lo)) ** 2, axis=-1) < 1.0
+    t = np.where(deep, lo, np.maximum(np.max(np.abs(sq) - s2, axis=-1), lo))
+    active = np.flatnonzero(~deep)
+    sweeps = 0
+    while active.size and sweeps < NEWTON_MAX_ITER:
+        sweeps += 1
+        ta = t[active]
+        x = s2 + ta[:, None]
+        w2 = (sq[active] / x) ** 2
+        step = (np.sum(w2, axis=-1) - 1.0) / (2.0 * np.sum(w2 / x, axis=-1))
+        t[active] = ta + np.maximum(step, 0.0)
+        scale = np.abs(ta) + (ta + s2_min)  # |t| plus the distance to the pole
+        active = active[step > 1e-13 * scale]
+    return t, deep, sweeps
 
 
 @dataclass(frozen=True)
@@ -267,6 +302,12 @@ class Box:
             g = np.where(interior[..., None], alt, g)
         g[..., 0] *= np.sign(x[..., 0])
         return g
+
+    def axis_cut(self, points, axis, direction, h):
+        """Fraction of the step h along (axis, direction) at which the arm
+        from each inside point meets the face |x_axis - c_axis| = w_axis."""
+        q = np.asarray(points, dtype=float) - np.array([0.0, *self.center])
+        return (self.half_widths[axis] - direction * q[..., axis]) / h
 
     def descriptor(self):
         return {
@@ -346,12 +387,6 @@ class StaggeredGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeClass:
-    kind: str  # 'interior' | 'near_boundary' | 'exterior'
-    cuts: dict = field(default_factory=dict)  # (axis, dir) -> theta in (0, 1]
-
-
 _DIRS = (1, -1)
 
 
@@ -363,7 +398,8 @@ class GridGeometry:
                     (the mirror neighbor across r = 0 counts as inside)
     near            inside with at least one neighbor across the boundary
     cut_theta       {(axis, dir): array}, fraction of the step at which the
-                    arm crosses the boundary (bisection to 1e-12), nan if no cut
+                    arm crosses the boundary (closed form from
+                    `domain.axis_cut`, clipped to [0, 1]), nan if no cut
     volfrac         fraction of each node's cell covered by the domain,
                     from a local planar model of the boundary
     donor_flat      for covered cells whose center is outside: flat index of
@@ -390,7 +426,9 @@ class GridGeometry:
                 cut = inside & ~nb_inside
                 theta = np.full(grid.shape, np.nan)
                 if cut.any():
-                    theta[cut] = self._bisect_theta(pts[cut], axis, direction)
+                    h = grid.h_r if axis == R_AXIS else grid.h_y
+                    theta[cut] = np.clip(
+                        domain.axis_cut(pts[cut], axis, direction, h), 0.0, 1.0)
                 self.cut_theta[(axis, direction)] = theta
                 any_cut |= cut
         self.near = inside & any_cut
@@ -431,20 +469,6 @@ class GridGeometry:
             nb[tuple(first)] = inside[tuple(first)]  # mirror across r = 0
         return nb
 
-    def _bisect_theta(self, points, axis, direction):
-        h = self.grid.h_r if axis == R_AXIS else self.grid.h_y
-        step = np.zeros(points.shape[-1])
-        step[axis] = direction * h
-        lo = np.zeros(points.shape[0])
-        hi = np.ones(points.shape[0])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            sd = self.domain.signed_distance(points + mid[:, None] * step)
-            neg = sd < 0.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        return 0.5 * (lo + hi)
-
     def _build_volume_fractions(self, pts, sd):
         grid, domain = self.grid, self.domain
         dim = grid.k + 1
@@ -482,19 +506,6 @@ class GridGeometry:
                         break
                 donor[tuple(row)] = found
         self.donor_flat = donor
-
-    def node_class(self, index):
-        index = tuple(index)
-        if not self.inside[index]:
-            return NodeClass("exterior")
-        cuts = {}
-        for key, theta in self.cut_theta.items():
-            t = theta[index]
-            if np.isfinite(t):
-                cuts[key] = float(t)
-        if cuts:
-            return NodeClass("near_boundary", cuts)
-        return NodeClass("interior")
 
 
 def _halfspace_cell_fraction(normals, sd, h):
@@ -564,12 +575,6 @@ def grid_geometry(domain, grid) -> GridGeometry:
             _GEOMETRY_CACHE.clear()
         _GEOMETRY_CACHE[key] = geo
     return geo
-
-
-def classify_node(domain, grid, index) -> NodeClass:
-    """Classify one node: interior, near-boundary (with arm cut fractions),
-    or exterior."""
-    return grid_geometry(domain, grid).node_class(index)
 
 
 # ---------------------------------------------------------------------------

@@ -328,9 +328,9 @@ def normal_derivative_at_axis(field):
     Returns (y_points, values) over the columns whose first three r-nodes
     are inside the domain."""
     grid = field.grid
-    geo = grid_geometry(field.domain, field.grid)
     if grid.n_r < 3:
         raise GridTooCoarse("need at least three r-layers for the axis probe")
+    geo = grid_geometry(field.domain, field.grid)
     ok = geo.inside[0] & geo.inside[1] & geo.inside[2]
     u0 = field.values[0][ok]
     u1 = field.values[1][ok]
@@ -364,23 +364,25 @@ def field_to_csv(field, path):
 
 def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
     """Read a field written by field_to_csv back onto its grid."""
-    vals = np.full(grid.shape, np.nan)
+    ncol = grid.k + 2
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if len(header) != grid.k + 2:
-            raise ValueError(f"expected {grid.k + 2} columns, found {len(header)}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = [float(x) for x in line.split(",")]
-            i = int(round(fields[0] / grid.h_r - 0.5))
-            index = [i]
-            for m in range(grid.k):
-                index.append(int(round((fields[1 + m] - grid.y_start[m]) / grid.h_y)))
-            expected = grid.node_point(index)
-            if not np.allclose(expected, fields[:-1], atol=1e-9 * grid.h_r):
-                raise ValueError(f"row does not land on a grid node: {line}")
-            vals[tuple(index)] = fields[-1]
+        if len(header) != ncol:
+            raise ValueError(f"expected {ncol} columns, found {len(header)}")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.size and rows.shape[1] != ncol:
+        raise ValueError(f"expected {ncol} columns, found {rows.shape[1]}")
+    rows = rows.reshape(-1, ncol)
+    coords = rows[:, :-1]
+    origin = np.array([0.5 * grid.h_r, *grid.y_start])
+    step = np.array([grid.h_r] + [grid.h_y] * grid.k)
+    index = np.rint((coords - origin) / step).astype(np.int64)
+    bad = (np.any((index < 0) | (index >= np.asarray(grid.shape)), axis=1)
+           | np.any(np.abs(origin + index * step - coords) > 1e-9 * grid.h_r, axis=1))
+    if bad.any():
+        raise ValueError(f"{int(bad.sum())} rows do not land on a grid node, "
+                         f"first at {coords[bad][0].tolist()}")
+    vals = np.full(grid.shape, np.nan)
+    vals[tuple(index.T)] = rows[:, -1]
     return ScalarField(grid=grid, domain=domain, values=vals,
                        boundary_values=boundary_values, parity=parity)

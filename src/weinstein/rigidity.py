@@ -21,7 +21,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .differential import deep_mask, gradient_fields
-from .errors import BreakdownDetected, ConfigError, NoConvergence, UnsupportedShape
+from .errors import (
+    BreakdownDetected,
+    ConfigError,
+    GridTooCoarse,
+    NoConvergence,
+    UnsupportedShape,
+)
 from .field import ScalarField
 from .gamma import BesselWeights, cd_defect_values, p_function
 from .geometry import Ball, boundary_samples
@@ -570,7 +576,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         elif name == "axis_regularity":
             try:
                 _, dvals = normal_derivative_at_axis(u)
-            except Exception as exc:  # thin domains may lack three r-layers
+            except GridTooCoarse as exc:  # thin domains may lack three r-layers
                 skipped(name, f"axis probe unavailable ({type(exc).__name__})")
                 continue
             value = float(np.max(np.abs(dvals))) if dvals.size else math.nan
@@ -589,7 +595,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             _, dvals = normal_derivative_at_axis(u)
             # outward normal on the wall is -e_r
             extras["sigma0_flux"] = -float(np.sum(dvals)) * grid.h_y ** grid.k
-        except Exception:
+        except GridTooCoarse:
             extras["sigma0_flux"] = math.nan
 
     if stats is not None:

@@ -8,10 +8,12 @@ from scipy import integrate
 
 from weinstein.errors import EmptyDomain, UnsupportedShape
 from weinstein.geometry import (
+    NEWTON_MAX_ITER,
     Ball,
     Box,
     Ellipsoid,
     StaggeredGrid,
+    _ellipsoid_root,
     boundary_samples,
     grid_geometry,
     sphere_lattice,
@@ -38,11 +40,16 @@ def test_ball_gradient_is_unit_radial():
     assert g == pytest.approx([0.6, 0.8])
 
 
-def _ellipse_distance_oracle(semi, q, n=200001):
-    """Brute-force distance to the parametric ellipse boundary (k=1)."""
+def _ellipse_distance_oracle(semi, q, n=200001, zooms=0):
+    """Brute-force distance to the parametric ellipse boundary (k=1); each
+    zoom resamples the 4 grid cells around the best angle n times finer."""
     th = np.linspace(0.0, 2.0 * np.pi, n)
-    bd = np.stack([semi[0] * np.cos(th), semi[1] * np.sin(th)], axis=-1)
-    d = np.min(np.linalg.norm(bd - q, axis=-1))
+    for _ in range(zooms + 1):
+        bd = np.stack([semi[0] * np.cos(th), semi[1] * np.sin(th)], axis=-1)
+        dist = np.linalg.norm(bd - q, axis=-1)
+        best, cell = th[np.argmin(dist)], th[1] - th[0]
+        d = dist.min()
+        th = np.linspace(best - 2.0 * cell, best + 2.0 * cell, n)
     level = (q[0] / semi[0]) ** 2 + (q[1] / semi[1]) ** 2
     return d if level >= 1.0 else -d
 
@@ -55,6 +62,47 @@ def test_ellipsoid_signed_distance_vs_parametric_oracle(q):
     got = e.signed_distance(np.array(q))
     want = _ellipse_distance_oracle((1.0, 2.0), np.array(q))
     assert got == pytest.approx(want, abs=5e-7)
+
+
+@pytest.mark.parametrize("q", [
+    # inside the evolute of the (1, 2) ellipse, where several normals meet
+    (1e-3, 0.0), (1e-6, 0.9), (0.05, 1.2), (0.2, -0.6),
+    # a zero offset along one axis
+    (0.5, 0.0), (1.4, 0.0), (0.0, 1.9), (0.0, 2.5), (0.0, -1.6),
+])
+def test_ellipsoid_newton_distance_vs_refined_oracle(q):
+    e = Ellipsoid(semi_axes=(1.0, 2.0), center=(0.0,))
+    got = e.signed_distance(np.array(q))
+    want = _ellipse_distance_oracle((1.0, 2.0), np.array(q), n=2001, zooms=4)
+    # at (1e-6, 0.9) the root lies ~1e-6 right of the pole t = -1, where
+    # the rounding of t alone moves the distance by ~3e-11
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [(0.0, 0.0), (0.0, 1.0), (0.0, -1.4)])
+def test_ellipsoid_deep_points_keep_the_conservative_proxy(q):
+    # on the r = 0 segment inside the evolute f has no root; the proxy
+    # (1 - level) * min(s) understates the true depth
+    e = Ellipsoid(semi_axes=(1.0, 2.0), center=(0.0,))
+    got = float(e.signed_distance(np.array(q)))
+    level = math.hypot(q[0], q[1] / 2.0)
+    assert got == pytest.approx(-(1.0 - level), abs=1e-15)
+    want = _ellipse_distance_oracle((1.0, 2.0), np.array(q), n=2001, zooms=4)
+    assert want - 1e-12 <= got < 0.0
+
+
+@pytest.mark.parametrize("semi,center,h", [
+    ((1.0, 2.0), (0.0,), 1 / 96),
+    ((1.0, 1.3, 0.8), (0.05, -0.1), 1 / 24),
+])
+def test_ellipsoid_newton_converges_within_its_cap_on_a_grid(semi, center, h):
+    e = Ellipsoid(semi_axes=semi, center=center)
+    grid = StaggeredGrid.from_domain(e, h)
+    s = np.asarray(semi)
+    q = e._centered(grid.node_points()).reshape(-1, len(semi))
+    _, deep, sweeps = _ellipsoid_root(s * q, s * s)
+    assert not deep.any()  # no node is centred along the smallest semi-axis
+    assert sweeps < NEWTON_MAX_ITER
 
 
 def test_ellipsoid_gradient_matches_finite_difference():
@@ -116,6 +164,97 @@ def test_cut_fraction_solves_boundary_crossing():
             assert abs(dom.signed_distance(p)) < 1e-8
             checked += 1
     assert checked > 0
+
+
+def _bisect_cut(dom, points, axis, direction, h, steps=60):
+    """Oracle: bisect the sign of the signed distance along each arm."""
+    step = np.zeros(points.shape[-1])
+    step[axis] = direction * h
+    lo = np.zeros(points.shape[0])
+    hi = np.ones(points.shape[0])
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        inside = dom.signed_distance(points + mid[:, None] * step) < 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+_CUT_DOMAINS = {
+    "ball": Ball(radius=1.0, center=(0.0,)),
+    "ellipsoid_shifted": Ellipsoid(semi_axes=(1.0, 2.0), center=(0.137,)),
+    "ellipsoid_k2": Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.05, -0.1)),
+    "box": Box(half_widths=(0.9, 0.6), center=(0.2,)),
+}
+
+
+def _semi(dom):
+    return np.array([dom.r_extent, *dom.y_halfwidth])
+
+
+@pytest.mark.parametrize("name", list(_CUT_DOMAINS))
+def test_cut_theta_matches_bisection_on_grid_cut_nodes(name):
+    dom = _CUT_DOMAINS[name]
+    h = 1 / 40 if dom.k == 1 else 1 / 16
+    grid = StaggeredGrid.from_domain(dom, h)
+    geo = grid_geometry(dom, grid)
+    pts = grid.node_points()
+    assert len(geo.cut_theta) == 2 * (dom.k + 1)
+    for (axis, direction), theta in geo.cut_theta.items():
+        cut = np.isfinite(theta)
+        if (axis, direction) == (0, -1):
+            assert not cut.any()  # the mirror neighbor across r = 0 is inside
+            continue
+        assert cut.any()
+        want = _bisect_cut(dom, pts[cut], axis, direction, h)
+        assert np.max(np.abs(theta[cut] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(_CUT_DOMAINS))
+def test_axis_cut_matches_bisection_on_long_arms(name):
+    # an arm longer than the domain leaves it from every inside point, so
+    # every direction has a crossing, the r-axis -1 arm through r = 0
+    # onto the mirrored side included
+    dom = _CUT_DOMAINS[name]
+    semi = _semi(dom)
+    center = np.array([0.0, *dom.y_center])
+    rng = np.random.default_rng(11)
+    pts = center + rng.uniform(-1.0, 1.0, size=(400, dom.k + 1)) * semi
+    pts[:, 0] = np.abs(pts[:, 0])
+    pts = pts[dom.signed_distance(pts) < 0.0]
+    length = 2.5 * semi.max()
+    for axis in range(dom.k + 1):
+        for direction in (1, -1):
+            got = dom.axis_cut(pts, axis, direction, length)
+            want = _bisect_cut(dom, pts, axis, direction, length)
+            assert np.all((got > 0.0) & (got < 1.0))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(_CUT_DOMAINS))
+def test_axis_cut_at_a_grazing_node(name):
+    # a node 1e-9 h inside the boundary along its arm
+    dom = _CUT_DOMAINS[name]
+    semi = _semi(dom)
+    center = np.array([0.0, *dom.y_center])
+    h = 1 / 64
+    for axis in range(dom.k + 1):
+        for direction in (1, -1):
+            if (axis, direction) == (0, -1):
+                continue  # nodes sit at r > 0
+            q = 0.3 * semi
+            q[axis] = 0.0
+            if isinstance(dom, Box):
+                reach = semi[axis]
+            else:
+                reach = semi[axis] * math.sqrt(1.0 - np.sum((q / semi) ** 2))
+            q[axis] = direction * (reach - 1e-9 * h)
+            point = (center + q)[None, :]
+            assert dom.signed_distance(point)[0] < 0.0
+            got = dom.axis_cut(point, axis, direction, h)
+            want = _bisect_cut(dom, point, axis, direction, h)
+            assert got[0] == pytest.approx(1e-9, rel=1e-3)
+            assert abs(got[0] - want[0]) <= 1e-12
 
 
 def test_volume_fractions_integrate_the_half_disc():

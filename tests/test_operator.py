@@ -323,6 +323,17 @@ def test_field_csv_rejects_alien_grid(tmp_path):
         field_from_csv(bad, u.grid, dom)
 
 
+def test_field_csv_rejects_rows_off_the_grid(tmp_path):
+    dom = Ball(1.0)
+    grid = StaggeredGrid.from_domain(dom, 1.0 / 8)
+    path = tmp_path / "u.csv"
+    # where node n_r would sit, one layer past the lattice
+    r = (grid.n_r + 0.5) * grid.h_r
+    path.write_text(f"r,y1,u\n{r!r},{grid.y_start[0]!r},1.0\n")
+    with pytest.raises(ValueError, match="grid node"):
+        field_from_csv(path, grid, dom)
+
+
 # -- guards -----------------------------------------------------------------------
 
 
@@ -332,3 +343,11 @@ def test_assembly_rejects_too_coarse_grids():
     grid = StaggeredGrid.from_domain(dom, 0.5)
     with pytest.raises(GridTooCoarse):
         assemble_torsion_system(dom, grid, params)
+
+
+def test_axis_probe_needs_three_r_layers():
+    dom = Ball(1.0)
+    grid = StaggeredGrid(h_r=0.5, h_y=0.5, n_r=2, n_y=(8,), y_start=(-1.75,))
+    u = ScalarField(grid=grid, domain=dom, values=np.zeros(grid.shape))
+    with pytest.raises(GridTooCoarse):
+        normal_derivative_at_axis(u)
