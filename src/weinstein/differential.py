@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MissingBoundaryData
 from .field import ScalarField
-from .geometry import R_AXIS, grid_geometry
+from .geometry import R_AXIS, grid_geometry, shift
 
 
 def _axis_step(grid, axis):
@@ -27,50 +27,20 @@ def _arm_values(field, geo, axis):
     entries are meaningful only at inside nodes.  Boundary cut arms take
     the field's Dirichlet data; the r < 0 ghost takes the parity reflection.
     """
-    grid = field.grid
-    h = _axis_step(grid, axis)
-    dim = grid.k + 1
-    vals = field.values
-
-    out = {}
+    sign = -1.0 if field.parity == "odd" else 1.0
+    out = []
     for direction in (1, -1):
-        arm = np.full(grid.shape, h)
-        nb = np.full(grid.shape, np.nan)
-        src = [slice(None)] * dim
-        dst = [slice(None)] * dim
-        if direction == 1:
-            dst[axis] = slice(0, -1)
-            src[axis] = slice(1, None)
-        else:
-            dst[axis] = slice(1, None)
-            src[axis] = slice(0, -1)
-        nb[tuple(dst)] = vals[tuple(src)]
-        if axis == R_AXIS and direction == -1:
-            first = [slice(None)] * dim
-            first[axis] = 0
-            sign = -1.0 if field.parity == "odd" else 1.0
-            nb[tuple(first)] = sign * vals[tuple(first)]
-
-        theta = geo.cut_theta[(axis, direction)]
-        cut = geo.inside & np.isfinite(theta)
+        arm, cut, cut_pts = geo.arm(axis, direction)
+        nb = shift(field.values, axis, direction, np.nan, sign)
         if cut.any():
             if field.boundary_values is None:
                 raise MissingBoundaryData(
                     f"axis {axis} stencil crosses the boundary but the field "
                     "carries no Dirichlet data"
                 )
-            pts = grid.node_points()[cut]
-            t = theta[cut]
-            step = np.zeros(dim)
-            step[axis] = direction * h
-            cut_pts = pts + t[:, None] * step
-            g = field.boundary_value_at(cut_pts)
-            arm[cut] = np.maximum(t, 1e-6) * h
-            nb[cut] = g
-        out[direction] = (arm, nb)
-    hp, vp = out[1]
-    hm, vm = out[-1]
-    return hp, vp, hm, vm
+            nb[cut] = field.boundary_value_at(cut_pts)
+        out += [arm, nb]
+    return tuple(out)
 
 
 def axis_derivative(field, axis):
@@ -114,26 +84,10 @@ def deep_mask(field_or_geo, domain=None):
         geo = grid_geometry(field_or_geo.domain, field_or_geo.grid)
     else:
         geo = field_or_geo
-    inside = geo.inside
-    dim = inside.ndim
-    mask = inside.copy()
-    for axis in range(dim):
+    mask = geo.inside
+    for axis in range(mask.ndim):
         for direction in (1, -1):
-            nb = np.zeros_like(inside)
-            src = [slice(None)] * dim
-            dst = [slice(None)] * dim
-            if direction == 1:
-                dst[axis] = slice(0, -1)
-                src[axis] = slice(1, None)
-            else:
-                dst[axis] = slice(1, None)
-                src[axis] = slice(0, -1)
-            nb[tuple(dst)] = mask[tuple(src)]
-            if axis == R_AXIS and direction == -1:
-                first = [slice(None)] * dim
-                first[axis] = 0
-                nb[tuple(first)] = mask[tuple(first)]
-            mask = mask & nb
+            mask = mask & shift(mask, axis, direction, False)
     return mask
 
 
@@ -145,29 +99,14 @@ def mixed_second_derivative(field, axis1, axis2):
     if axis1 == axis2:
         raise ValueError("use axis_second_derivative for repeated axes")
     grid = field.grid
-    vals = field.values
-    dim = grid.k + 1
+    sign = -1.0 if field.parity == "odd" else 1.0
     h1 = _axis_step(grid, axis1)
     h2 = _axis_step(grid, axis2)
 
     def shifted(a, axis, direction):
-        out = np.full_like(a, np.nan)
-        src = [slice(None)] * dim
-        dst = [slice(None)] * dim
-        if direction == 1:
-            dst[axis] = slice(0, -1)
-            src[axis] = slice(1, None)
-        else:
-            dst[axis] = slice(1, None)
-            src[axis] = slice(0, -1)
-        out[tuple(dst)] = a[tuple(src)]
-        if axis == R_AXIS and direction == -1:
-            first = [slice(None)] * dim
-            first[axis] = 0
-            sign = -1.0 if field.parity == "odd" else 1.0
-            out[tuple(first)] = sign * a[tuple(first)]
-        return out
+        return shift(a, axis, direction, np.nan, sign)
 
+    vals = field.values
     pp = shifted(shifted(vals, axis1, 1), axis2, 1)
     pm = shifted(shifted(vals, axis1, 1), axis2, -1)
     mp = shifted(shifted(vals, axis1, -1), axis2, 1)

@@ -20,6 +20,26 @@ from .errors import EmptyDomain, UnsupportedShape
 
 R_AXIS = 0  # index of the weighted radial coordinate
 NEWTON_MAX_ITER = 40  # cap on the Newton iterations of the ellipsoid distance
+ARM_FLOOR = 1e-6  # shortest cut arm, as a fraction of the step
+
+
+def shift(array, axis, direction, fill, mirror_sign=1.0):
+    """Values of the neighbor one step along (axis, direction).
+
+    Nodes whose neighbor is off the lattice get `fill`, except below the
+    first r-layer, where the mirror node across r = 0 supplies
+    mirror_sign * array (a plain copy for sign 1, as boolean masks need)."""
+    out = np.full_like(array, fill)
+    src = [slice(None)] * array.ndim
+    dst = list(src)
+    if direction == 1:
+        src[axis], dst[axis] = slice(1, None), slice(0, -1)
+    else:
+        src[axis], dst[axis] = slice(0, -1), slice(1, None)
+    out[tuple(dst)] = array[tuple(src)]
+    if axis == R_AXIS and direction == -1:  # the r axis leads, so row 0 is r = h/2
+        out[0] = array[0] if mirror_sign == 1 else mirror_sign * array[0]
+    return out
 
 
 def _quadric_axis_cut(points, center, semi, axis, direction, h):
@@ -110,7 +130,8 @@ class Ellipsoid:
     nearest boundary point: p_i = s_i^2 q_i / (s_i^2 + t) with t the root
     of f(t) = sum((s_i q_i / (s_i^2 + t))^2) - 1.  f is convex and
     decreasing on t > -min(s)^2, so Newton started left of the root, where
-    the largest single term equals 1, climbs to it monotonically.  Deep
+    the largest single term equals 1, climbs to it monotonically; it runs
+    on x = t + min(s)^2, which keeps the roots next to that pole exact.  Deep
     inside, past the medial axis where that root can disappear, a
     conservative proxy (1 - |q/s|) * min(s) is used; all boundary-local
     consumers (probes, volume fractions) stay on the exact branch.  Cut
@@ -161,8 +182,8 @@ class Ellipsoid:
         s2 = s * s
         flat = q.reshape(-1, q.shape[-1])
         level = np.sqrt(np.sum((flat / s) ** 2, axis=-1))
-        t, deep, _ = _ellipsoid_root(s * flat, s2)
-        p = s2 * flat / (s2 + t[:, None])
+        x, deep, _ = _ellipsoid_root(s * flat, s2)
+        p = s2 * flat / (s2 - s2.min() + x[:, None])
         return p.reshape(q.shape), deep.reshape(q.shape[:-1]), level.reshape(q.shape[:-1])
 
     def signed_distance(self, x):
@@ -207,31 +228,34 @@ class Ellipsoid:
 
 
 def _ellipsoid_root(sq, s2):
-    """Root t of f(t) = sum((sq_i / (s2_i + t))^2) - 1 on t > -min(s2) per
-    row of sq (rows s_i q_i), by Newton from the left.
+    """Root x = t + min(s2) of f = sum((sq_i / (d_i + x))^2) - 1, with
+    d = s2 - min(s2), on x > 0 per row of sq (rows s_i q_i), by Newton from
+    the left.  Solving for the distance x to the pole t = -min(s2) keeps
+    full precision where the root sits next to it (points near the plane
+    of the smallest semi-axis).
 
     Rows with f(lo) < 0 just right of the pole have no root ('deep', inside
-    the evolute) and keep t = lo.  Every other row starts at
-    max_i(|sq_i| - s2_i), where its largest term equals 1, and leaves the
-    active set once its step is at the rounding level.  Returns t, the
+    the evolute) and keep x = lo.  Every other row starts at
+    max_i(|sq_i| - d_i), where its largest term equals 1, and leaves the
+    active set once its step is at the rounding level.  Returns x, the
     deep mask and the number of sweeps run (NEWTON_MAX_ITER only if some
     row never converged)."""
     s2_min = s2.min()
-    lo = -s2_min + 1e-14 * s2_min
-    deep = np.sum((sq / (s2 + lo)) ** 2, axis=-1) < 1.0
-    t = np.where(deep, lo, np.maximum(np.max(np.abs(sq) - s2, axis=-1), lo))
+    d = s2 - s2_min
+    lo = 1e-14 * s2_min
+    deep = np.sum((sq / (d + lo)) ** 2, axis=-1) < 1.0
+    x = np.where(deep, lo, np.maximum(np.max(np.abs(sq) - d, axis=-1), lo))
     active = np.flatnonzero(~deep)
     sweeps = 0
     while active.size and sweeps < NEWTON_MAX_ITER:
         sweeps += 1
-        ta = t[active]
-        x = s2 + ta[:, None]
-        w2 = (sq[active] / x) ** 2
-        step = (np.sum(w2, axis=-1) - 1.0) / (2.0 * np.sum(w2 / x, axis=-1))
-        t[active] = ta + np.maximum(step, 0.0)
-        scale = np.abs(ta) + (ta + s2_min)  # |t| plus the distance to the pole
-        active = active[step > 1e-13 * scale]
-    return t, deep, sweeps
+        xa = x[active]
+        den = d + xa[:, None]
+        w2 = (sq[active] / den) ** 2
+        step = (np.sum(w2, axis=-1) - 1.0) / (2.0 * np.sum(w2 / den, axis=-1))
+        x[active] = xa + np.maximum(step, 0.0)
+        active = active[step > 1e-13 * xa]
+    return x, deep, sweeps
 
 
 @dataclass(frozen=True)
@@ -422,8 +446,7 @@ class GridGeometry:
         any_cut = np.zeros(grid.shape, dtype=bool)
         for axis in range(dim):
             for direction in _DIRS:
-                nb_inside = self._shifted_inside(inside, axis, direction)
-                cut = inside & ~nb_inside
+                cut = inside & ~shift(inside, axis, direction, False)
                 theta = np.full(grid.shape, np.nan)
                 if cut.any():
                     h = grid.h_r if axis == R_AXIS else grid.h_y
@@ -450,24 +473,22 @@ class GridGeometry:
 
         self._build_volume_fractions(pts, sd)
 
-    def _shifted_inside(self, inside, axis, direction):
-        """Inside mask of the neighbor one step along (axis, direction)."""
-        dim = inside.ndim
-        nb = np.zeros_like(inside)
-        src = [slice(None)] * dim
-        dst = [slice(None)] * dim
-        if direction == 1:
-            dst[axis] = slice(0, -1)
-            src[axis] = slice(1, None)
-        else:
-            dst[axis] = slice(1, None)
-            src[axis] = slice(0, -1)
-        nb[tuple(dst)] = inside[tuple(src)]
-        if axis == R_AXIS and direction == -1:
-            first = [slice(None)] * dim
-            first[axis] = 0
-            nb[tuple(first)] = inside[tuple(first)]  # mirror across r = 0
-        return nb
+    def arm(self, axis, direction):
+        """Shortley-Weller arm of every node along (axis, direction).
+
+        Returns the arm length over grid.shape (the step, or
+        max(theta, ARM_FLOOR) times the step where the arm is cut), the cut
+        mask, and the cut points of the cut nodes in C order."""
+        grid = self.grid
+        h = grid.h_r if axis == R_AXIS else grid.h_y
+        theta = self.cut_theta[(axis, direction)]
+        cut = np.isfinite(theta)
+        t = theta[cut]
+        length = np.full(grid.shape, h)
+        length[cut] = np.maximum(t, ARM_FLOOR) * h
+        points = np.stack([ax[i] for ax, i in zip(grid.axes(), np.nonzero(cut))], axis=-1)
+        points[:, axis] += t * (direction * h)
+        return length, cut, points
 
     def _build_volume_fractions(self, pts, sd):
         grid, domain = self.grid, self.domain

@@ -14,14 +14,16 @@ implement the same zero weighted flux through the axis.
 
 Rows whose arms cross the boundary switch to the nondivergence form with
 3-point unequal-arm (Shortley-Weller) stencils and the Dirichlet value at
-the cut point.  Interior rows are symmetric in the weighted inner product
-<u, v> = sum u v V_i h^k; cut rows are not, which is why the solver probes
-symmetry instead of assuming it.
+the cut point.  Both kinds of row are built as arrays, one pass per axis
+(and direction); the arms come from `GridGeometry.arm`, which the
+derivative stencils in `differential` read as well.  Interior rows are
+symmetric in the weighted inner product <u, v> = sum u v V_i h^k; cut
+rows are not, which is why the solver probes symmetry instead of
+assuming it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,11 @@ from .measure import r_cell_measure
 
 
 class _Stencil:
-    """Matrix + boundary-coupling of L_a on the active nodes of a grid."""
+    """Matrix + boundary coupling of L_a on the active nodes of a grid.
+
+    bc_rows, bc_coeffs and bc_points list the Dirichlet couplings
+    coeff * g(point) of the cut arms, ordered by (node, axis, minus arm
+    before plus arm)."""
 
     def __init__(self, domain, grid, params):
         geo = grid_geometry(domain, grid)
@@ -94,62 +100,55 @@ class _Stencil:
                     cols.append(row_of[nb])
                     vals.append(np.full(flat.shape, 1.0 / hy2))
 
-        # near-boundary rows: nondivergence Shortley-Weller, per node
-        bc_rows, bc_coeffs, bc_points = [], [], []
-        near_idx = np.argwhere(geo.near)
-        node_pts = grid.node_points()
-        for node in near_idx:
-            node_t = tuple(node)
-            flat = int(node @ strides)
-            row = row_of[flat]
-            pt = node_pts[node_t]
-            diag = 0.0
-            for axis in range(dim):
-                step = h if axis == R_AXIS else grid.h_y
-                arm = {}
-                for direction in (1, -1):
-                    theta = geo.cut_theta[(axis, direction)][node_t]
-                    if np.isfinite(theta):
-                        cut_pt = pt.copy()
-                        cut_pt[axis] += direction * theta * step
-                        arm[direction] = (max(theta, 1e-6) * step, ("bc", cut_pt))
-                    elif axis == R_AXIS and direction == -1 and node[0] == 0:
-                        arm[direction] = (step, ("ghost", None))
-                    else:
-                        nb = node.copy()
-                        nb[axis] += direction
-                        arm[direction] = (step, ("node", int(nb @ strides)))
-                hp, src_p = arm[1]
-                hm, src_m = arm[-1]
-                den = hm * hp * (hm + hp)
-                c_m = 2.0 * hp / den
-                c_p = 2.0 * hm / den
-                c_0 = -2.0 * (hm + hp) / den
-                if axis == R_AXIS:
-                    ar = a / pt[0]
-                    c_m += ar * (-(hp**2) / den)
-                    c_p += ar * (hm**2 / den)
-                    c_0 += ar * ((hp**2 - hm**2) / den)
-                diag += c_0
-                for coeff, (kind, payload) in ((c_m, src_m), (c_p, src_p)):
-                    if kind == "node":
-                        rows.append(np.array([row]))
-                        cols.append(np.array([row_of[payload]]))
-                        vals.append(np.array([coeff]))
-                    elif kind == "bc":
-                        bc_rows.append(row)
-                        bc_coeffs.append(coeff)
-                        bc_points.append(payload)
-                    else:  # ghost across r = 0: value u_0 folds into the diagonal
-                        diag += coeff
-            rows.append(np.array([row]))
-            cols.append(np.array([row]))
-            vals.append(np.array([diag]))
+        # near-boundary rows: nondivergence Shortley-Weller, one pass per
+        # (axis, direction).  The diagonal sums c_0 axis by axis, the r = 0
+        # ghost right after axis 0's c_0, and the boundary couplings are
+        # sorted by (node, axis, minus before plus): bc_vector sums them in
+        # that order.
+        near_flat = np.flatnonzero(geo.near.reshape(-1))
+        near_row = row_of[near_flat]
+        near_r = np.unravel_index(near_flat, shape)[R_AXIS]
+        diag = np.zeros(near_flat.size)
+        bc_rows, bc_coeffs, bc_points, bc_keys = [], [], [], []
+        for axis in range(dim):
+            arms = {d: geo.arm(axis, d) for d in (1, -1)}
+            hp = arms[1][0].reshape(-1)[near_flat]
+            hm = arms[-1][0].reshape(-1)[near_flat]
+            den = hm * hp * (hm + hp)
+            coeff = {-1: 2.0 * hp / den, 1: 2.0 * hm / den}
+            c_0 = -2.0 * (hm + hp) / den
+            if axis == R_AXIS:
+                # float_power is libm pow, as ** on scalars; array ** 2 is x * x
+                hp2, hm2 = np.float_power(hp, 2.0), np.float_power(hm, 2.0)
+                ar = a / grid.r_nodes()[near_r]
+                coeff[-1] += ar * (-hp2 / den)
+                coeff[1] += ar * (hm2 / den)
+                c_0 += ar * ((hp2 - hm2) / den)
+            diag += c_0
+            for direction in (-1, 1):
+                _, cut, cut_pts = arms[direction]
+                cut = cut.reshape(-1)[near_flat]
+                c = coeff[direction]
+                link = ~cut
+                if axis == R_AXIS and direction == -1:
+                    # ghost across r = 0: the value u_0 folds into the diagonal
+                    ghost = link & (near_r == 0)
+                    diag[ghost] += c[ghost]
+                    link &= ~ghost
+                rows.append(near_row[link])
+                cols.append(row_of[near_flat[link] + direction * strides[axis]])
+                vals.append(c[link])
+                bc_rows.append(near_row[cut])
+                bc_coeffs.append(c[cut])
+                bc_points.append(cut_pts)
+                bc_keys.append((near_flat[cut] * dim + axis) * 2 + (direction > 0))
+        rows.append(near_row)
+        cols.append(near_row)
+        vals.append(diag)
+        order = np.argsort(np.concatenate(bc_keys))
 
-        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        vals = np.concatenate(vals) if vals else np.zeros(0)
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(n_active, n_active)).tocsr()
+        A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n_active, n_active)).tocsr()
 
         self.domain = domain
         self.grid = grid
@@ -159,11 +158,9 @@ class _Stencil:
         self.row_of = row_of
         self.flat_active = flat_active
         self.n_active = n_active
-        self.bc_rows = np.array(bc_rows, dtype=np.int64)
-        self.bc_coeffs = np.array(bc_coeffs)
-        self.bc_points = (
-            np.array(bc_points) if bc_points else np.zeros((0, dim))
-        )
+        self.bc_rows = np.concatenate(bc_rows)[order]
+        self.bc_coeffs = np.concatenate(bc_coeffs)[order]
+        self.bc_points = np.concatenate(bc_points)[order]
         # weighted inner-product measure of the scheme (per active node)
         cw = (m_r.reshape((-1,) + (1,) * grid.k) * grid.h_y**grid.k) * np.ones(shape)
         self.cell_weights = cw.reshape(-1)[flat_active]
@@ -348,18 +345,21 @@ def normal_derivative_at_axis(field):
 # ---------------------------------------------------------------------------
 
 
+CSV_BLOCK_ROWS = 2048  # rows formatted per string operation; bounds the text in memory
+
+
 def field_to_csv(field, path):
     """Write `r,y1,...,yk,u` rows (17 significant digits) for active nodes."""
     grid = field.grid
     geo = grid_geometry(field.domain, field.grid)
-    pts = grid.node_points()[geo.inside]
-    vals = field.values[geo.inside]
+    table = np.column_stack([grid.node_points()[geo.inside], field.values[geo.inside]])
     header = "r," + ",".join(f"y{m + 1}" for m in range(grid.k)) + ",u"
+    line = ",".join(["%.17g"] * (grid.k + 2)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for p, v in zip(pts, vals):
-            coords = ",".join(f"{c:.17g}" for c in p)
-            fh.write(f"{coords},{v:.17g}\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):

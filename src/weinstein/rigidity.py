@@ -458,6 +458,11 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     is_ball = isinstance(domain, Ball)
     results: list = []
     extras: dict = {}
+    finite = bool(np.all(np.isfinite(u.active_values())))
+    if not finite:  # an overflowed solve: no check can say anything about it
+        results = [CheckResult(name, math.nan, None, None,
+                               "skipped: solver did not converge") for name in names]
+        names = []
 
     def judge(name, value, tol, detail=""):
         results.append(CheckResult(name, value, tol, bool(value <= tol), detail))
@@ -586,22 +591,22 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             results.append(CheckResult(name, value, 0.0, bool(value >= 0.0),
                                        "min exact curvature-dimension defect"))
 
-    # flux through the axis wall: the weight kills it for a > 0, and for
-    # a = 0 it is an honest quadrature of u_r on the wall
-    if params.a > 0.0:
-        extras["sigma0_flux"] = 0.0
-    else:
-        try:
-            _, dvals = normal_derivative_at_axis(u)
-            # outward normal on the wall is -e_r
-            extras["sigma0_flux"] = -float(np.sum(dvals)) * grid.h_y ** grid.k
-        except GridTooCoarse:
-            extras["sigma0_flux"] = math.nan
-
     if stats is not None:
         extras["boundary_gradient_mean"] = stats.mean
         extras["boundary_gradient_cv"] = stats.cv
-    extras["center_value"] = float(u.interpolate((0.0, *domain.y_center)))
+    if finite:
+        # flux through the axis wall: the weight kills it for a > 0, and for
+        # a = 0 it is an honest quadrature of u_r on the wall
+        if params.a > 0.0:
+            extras["sigma0_flux"] = 0.0
+        else:
+            try:
+                _, dvals = normal_derivative_at_axis(u)
+                # outward normal on the wall is -e_r
+                extras["sigma0_flux"] = -float(np.sum(dvals)) * grid.h_y ** grid.k
+            except GridTooCoarse:
+                extras["sigma0_flux"] = math.nan
+        extras["center_value"] = float(u.interpolate((0.0, *domain.y_center)))
 
     report = ExperimentReport(
         domain=domain.descriptor(),

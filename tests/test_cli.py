@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from weinstein.cli import RunConfig, main
+from weinstein.rigidity import CHECK_NAMES
 
 BALL = {
     "params": {"a": 1.0, "k": 1},
@@ -119,6 +120,30 @@ def test_solver_budget_exhaustion_exits_three_but_keeps_artifacts(tmp_path):
     assert report["solver"]["converged"] is False
     assert report["passed"] is False
     assert (tmp_path / "out" / "u.csv").is_file()  # best iterate, inspectable
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, command):
+    # Jacobi-BiCGStab overflows to NaN on this system; no check may run on it
+    cfg = {
+        "params": {"a": 20.0, "k": 1},
+        "domain": {"type": "ball", "radius": 1.0, "center": [0.0]},
+        "grid": {"h": 1 / 32},
+        "output_dir": str(tmp_path / "out"),
+    }
+    run_dir = tmp_path / "out"
+    if command == "sweep":
+        cfg["sweep"] = {"path": "params.a", "values": [20.0]}
+        run_dir = run_dir / "run_000"
+    assert _run([command, "--config", _write(tmp_path, cfg)]) == 3
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["solver"]["converged"] is False
+    assert report["passed"] is False
+    assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
+    for c in report["checks"]:
+        assert (c["status"], c["detail"]) == ("skip", "skipped: solver did not converge")
+    assert report["extras"] == {}
 
 
 def test_solve_subcommand_writes_field_without_checks(tmp_path):

@@ -1,6 +1,7 @@
 """Shapes, staggered grids, node classification, and surface sampling."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -74,9 +75,41 @@ def test_ellipsoid_newton_distance_vs_refined_oracle(q):
     e = Ellipsoid(semi_axes=(1.0, 2.0), center=(0.0,))
     got = e.signed_distance(np.array(q))
     want = _ellipse_distance_oracle((1.0, 2.0), np.array(q), n=2001, zooms=4)
-    # at (1e-6, 0.9) the root lies ~1e-6 right of the pole t = -1, where
-    # the rounding of t alone moves the distance by ~3e-11
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def _decimal_distance(semi, q):
+    """Unsigned distance from q to the ellipsoid in 50-digit arithmetic:
+    bisection on f(x) = sum((s_i q_i / (s_i^2 - min(s)^2 + x))^2) - 1."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = [Decimal(v) for v in semi]
+        q = [Decimal(float(v)) for v in q]
+        d = [si * si - min(s) ** 2 for si in s]
+
+        def f(x):
+            return sum((si * qi / (di + x)) ** 2 for si, qi, di in zip(s, q, d)) - 1
+
+        lo, hi = Decimal("1e-40"), sum(abs(si * qi) for si, qi in zip(s, q)) + 1
+        for _ in range(240):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        p = [si * si * qi / (di + lo) for si, qi, di in zip(s, q, d)]
+        return float(sum((qi - pi) ** 2 for qi, pi in zip(q, p)).sqrt())
+
+
+@pytest.mark.parametrize("semi,q", [
+    # roots ~1e-6 and ~1e-8 right of the pole t = -min(s)^2, where t itself
+    # cannot resolve the distance to the pole (the old parametrisation was
+    # off by 2.65e-11 at the first point)
+    ((1.0, 2.0), (1e-6, 0.9)),
+    ((1.0, 2.0), (1e-8, -1.1)),
+    ((1.0, 1.3, 0.8), (0.3, 0.2, 1e-7)),  # smallest semi-axis along y2
+])
+def test_ellipsoid_distance_near_the_smallest_axis_plane(semi, q):
+    e = Ellipsoid(semi_axes=semi, center=(0.0,) * (len(semi) - 1))
+    got = float(e.signed_distance(np.array(q)))
+    assert got == pytest.approx(-_decimal_distance(semi, q), abs=1e-13)
 
 
 @pytest.mark.parametrize("q", [(0.0, 0.0), (0.0, 1.0), (0.0, -1.4)])
