@@ -13,11 +13,7 @@ import numpy as np
 
 from .errors import MissingBoundaryData
 from .field import ScalarField
-from .geometry import R_AXIS, grid_geometry, shift
-
-
-def _axis_step(grid, axis):
-    return grid.h_r if axis == R_AXIS else grid.h_y
+from .geometry import R_AXIS, grid_geometry, shift, three_point_weights
 
 
 def _arm_values(field, geo, axis):
@@ -43,27 +39,32 @@ def _arm_values(field, geo, axis):
     return tuple(out)
 
 
-def axis_derivative(field, axis):
-    """First derivative along one axis as a full-shape array (NaN outside)."""
+def _three_point(field, axis, order):
+    """Shortley-Weller derivative of the given order (1 or 2) along `axis`
+    as a full-shape array (NaN outside)."""
     geo = grid_geometry(field.domain, field.grid)
     hp, vp, hm, vm = _arm_values(field, geo, axis)
-    v0 = field.values
-    num = -(hp**2) * vm + (hp**2 - hm**2) * v0 + hm**2 * vp
-    den = hm * hp * (hm + hp)
-    d = num / den
+    # centred weights, then unequal-arm ones where an arm is cut: the
+    # weights' pow on every node would triple the cost of a derivative
+    h = field.grid.step(axis)
+    unequal = (hm != h) | (hp != h)
+    weights = [np.full(hm.shape, c) for c in three_point_weights(h, h)[order - 1]]
+    for full, part in zip(weights, three_point_weights(hm[unequal], hp[unequal])[order - 1]):
+        full[unequal] = part
+    w_m, w_0, w_p = weights
+    d = w_m * vm + w_0 * field.values + w_p * vp
     d[~geo.inside] = np.nan
     return d
+
+
+def axis_derivative(field, axis):
+    """First derivative along one axis as a full-shape array (NaN outside)."""
+    return _three_point(field, axis, 1)
 
 
 def axis_second_derivative(field, axis):
-    geo = grid_geometry(field.domain, field.grid)
-    hp, vp, hm, vm = _arm_values(field, geo, axis)
-    v0 = field.values
-    num = 2.0 * (hp * vm - (hm + hp) * v0 + hm * vp)
-    den = hm * hp * (hm + hp)
-    d = num / den
-    d[~geo.inside] = np.nan
-    return d
+    """Second derivative along one axis as a full-shape array (NaN outside)."""
+    return _three_point(field, axis, 2)
 
 
 def gradient_fields(field):
@@ -78,7 +79,7 @@ def gradient_fields(field):
     return outs
 
 
-def deep_mask(field_or_geo, domain=None):
+def deep_mask(field_or_geo):
     """Nodes whose full 3^d neighborhood (r-mirror allowed) is inside."""
     if isinstance(field_or_geo, ScalarField):
         geo = grid_geometry(field_or_geo.domain, field_or_geo.grid)
@@ -100,8 +101,8 @@ def mixed_second_derivative(field, axis1, axis2):
         raise ValueError("use axis_second_derivative for repeated axes")
     grid = field.grid
     sign = -1.0 if field.parity == "odd" else 1.0
-    h1 = _axis_step(grid, axis1)
-    h2 = _axis_step(grid, axis2)
+    h1 = grid.step(axis1)
+    h2 = grid.step(axis2)
 
     def shifted(a, axis, direction):
         return shift(a, axis, direction, np.nan, sign)

@@ -405,6 +405,10 @@ class StaggeredGrid:
         ax = self.axes()
         return np.array([ax[d][index[d]] for d in range(self.k + 1)])
 
+    def step(self, axis):
+        """Lattice spacing along `axis`."""
+        return self.h_r if axis == R_AXIS else self.h_y
+
 
 # ---------------------------------------------------------------------------
 # node classification
@@ -412,6 +416,21 @@ class StaggeredGrid:
 
 
 _DIRS = (1, -1)
+
+
+def three_point_weights(h_minus, h_plus):
+    """Shortley-Weller weights on the unequal arms h_minus, h_plus.
+
+    Returns (first, second), each the (minus, centre, plus) weights of a
+    3-point stencil exact on quadratics: u' ~ first . (u_-, u_0, u_+) and
+    u'' ~ second . (u_-, u_0, u_+).  The squares are libm pow
+    (np.float_power), which array ** 2 (x * x) differs from in the last bit."""
+    hm, hp = h_minus, h_plus
+    den = hm * hp * (hm + hp)
+    hm2, hp2 = np.float_power(hm, 2.0), np.float_power(hp, 2.0)
+    first = (-hp2 / den, (hp2 - hm2) / den, hm2 / den)
+    second = (2.0 * hp / den, -2.0 * (hm + hp) / den, 2.0 * hm / den)
+    return first, second
 
 
 class GridGeometry:
@@ -449,9 +468,8 @@ class GridGeometry:
                 cut = inside & ~shift(inside, axis, direction, False)
                 theta = np.full(grid.shape, np.nan)
                 if cut.any():
-                    h = grid.h_r if axis == R_AXIS else grid.h_y
                     theta[cut] = np.clip(
-                        domain.axis_cut(pts[cut], axis, direction, h), 0.0, 1.0)
+                        domain.axis_cut(pts[cut], axis, direction, grid.step(axis)), 0.0, 1.0)
                 self.cut_theta[(axis, direction)] = theta
                 any_cut |= cut
         self.near = inside & any_cut
@@ -480,7 +498,7 @@ class GridGeometry:
         max(theta, ARM_FLOOR) times the step where the arm is cut), the cut
         mask, and the cut points of the cut nodes in C order."""
         grid = self.grid
-        h = grid.h_r if axis == R_AXIS else grid.h_y
+        h = grid.step(axis)
         theta = self.cut_theta[(axis, direction)]
         cut = np.isfinite(theta)
         t = theta[cut]

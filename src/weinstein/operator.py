@@ -15,11 +15,10 @@ implement the same zero weighted flux through the axis.
 Rows whose arms cross the boundary switch to the nondivergence form with
 3-point unequal-arm (Shortley-Weller) stencils and the Dirichlet value at
 the cut point.  Both kinds of row are built as arrays, one pass per axis
-(and direction); the arms come from `GridGeometry.arm`, which the
-derivative stencils in `differential` read as well.  Interior rows are
-symmetric in the weighted inner product <u, v> = sum u v V_i h^k; cut
-rows are not, which is why the solver probes symmetry instead of
-assuming it.
+(and direction); the arms come from `GridGeometry.arm` and the weights
+from `three_point_weights`, which the derivative stencils in
+`differential` read as well.  Interior rows are symmetric in the
+weighted inner product <u, v> = sum u v V_i h^k; cut rows are not.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
 from .field import ScalarField
-from .geometry import R_AXIS, boundary_samples, grid_geometry
+from .geometry import R_AXIS, boundary_samples, grid_geometry, three_point_weights
 from .measure import r_cell_measure
 
 
@@ -112,23 +111,16 @@ class _Stencil:
         bc_rows, bc_coeffs, bc_points, bc_keys = [], [], [], []
         for axis in range(dim):
             arms = {d: geo.arm(axis, d) for d in (1, -1)}
-            hp = arms[1][0].reshape(-1)[near_flat]
-            hm = arms[-1][0].reshape(-1)[near_flat]
-            den = hm * hp * (hm + hp)
-            coeff = {-1: 2.0 * hp / den, 1: 2.0 * hm / den}
-            c_0 = -2.0 * (hm + hp) / den
-            if axis == R_AXIS:
-                # float_power is libm pow, as ** on scalars; array ** 2 is x * x
-                hp2, hm2 = np.float_power(hp, 2.0), np.float_power(hm, 2.0)
+            first, weights = three_point_weights(arms[-1][0].reshape(-1)[near_flat],
+                                                 arms[1][0].reshape(-1)[near_flat])
+            if axis == R_AXIS:  # u_rr + (a/r) u_r
                 ar = a / grid.r_nodes()[near_r]
-                coeff[-1] += ar * (-hp2 / den)
-                coeff[1] += ar * (hm2 / den)
-                c_0 += ar * ((hp2 - hm2) / den)
+                weights = [w2 + ar * w1 for w2, w1 in zip(weights, first)]
+            c_m, c_0, c_p = weights
             diag += c_0
-            for direction in (-1, 1):
+            for direction, c in ((-1, c_m), (1, c_p)):
                 _, cut, cut_pts = arms[direction]
                 cut = cut.reshape(-1)[near_flat]
-                c = coeff[direction]
                 link = ~cut
                 if axis == R_AXIS and direction == -1:
                     # ghost across r = 0: the value u_0 folds into the diagonal
@@ -161,9 +153,6 @@ class _Stencil:
         self.bc_rows = np.concatenate(bc_rows)[order]
         self.bc_coeffs = np.concatenate(bc_coeffs)[order]
         self.bc_points = np.concatenate(bc_points)[order]
-        # weighted inner-product measure of the scheme (per active node)
-        cw = (m_r.reshape((-1,) + (1,) * grid.k) * grid.h_y**grid.k) * np.ones(shape)
-        self.cell_weights = cw.reshape(-1)[flat_active]
 
     def bc_vector(self, dirichlet):
         """Accumulated boundary contributions coeff * g(cut point) per row."""
@@ -238,7 +227,6 @@ class SparseSystem:
     grid: object
     params: object
     dirichlet: object
-    cell_weights: np.ndarray
 
     @property
     def n(self):
@@ -275,7 +263,6 @@ def assemble_torsion_system(domain, grid, params, rhs=-1.0, dirichlet=0.0) -> Sp
         grid=grid,
         params=params,
         dirichlet=dirichlet,
-        cell_weights=st.cell_weights,
     )
 
 

@@ -1,14 +1,13 @@
 """Krylov solution of the assembled systems.
 
-Method selection is by measurement, not assumption: the assembled matrix
-is symmetric in the weighted cell inner product exactly when no boundary
-cut rows are present, so a randomized symmetry probe picks conjugate
-gradients (on the weighted symmetrization) when it passes and BiCGStab
-otherwise.  Both run Jacobi preconditioned.
+Jacobi-preconditioned BiCGStab on -A (whose diagonal is positive).  Cut
+rows make A nonsymmetric in the weighted inner product of the scheme,
+so one nonsymmetric method serves every system, including the rare
+ones without cut rows (a box whose faces sit on grid nodes).
 
 The returned residual is recomputed from the original system at exit
-(never trusted from the iteration), and the probe vectors come from a
-fixed seed so repeated solves are bit-identical.
+(never trusted from the iteration), so a report cannot claim more than
+the returned field delivers.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import BreakdownDetected, NoConvergence
-
-_PROBE_SEED = 20260814
 
 
 @dataclass(frozen=True)
@@ -33,17 +29,6 @@ class SolveReport:
     converged: bool
     wall_time: float
     n_unknowns: int
-
-
-def _weighted_symmetry_gap(A, w, rng):
-    u = rng.standard_normal(A.shape[0])
-    v = rng.standard_normal(A.shape[0])
-    Au = A @ u
-    Av = A @ v
-    s1 = np.sum(w * Au * v)
-    s2 = np.sum(w * u * Av)
-    den = np.sum(np.abs(w * Au * v)) + np.sum(np.abs(w * u * Av)) + 1e-300
-    return abs(s1 - s2) / den
 
 
 def solve(system, tol=1e-10, max_iter=20000):
@@ -61,44 +46,30 @@ def solve(system, tol=1e-10, max_iter=20000):
         report = SolveReport("none", 0, 0.0, True, time.perf_counter() - start, n)
         return system.field_from_vector(np.zeros(n)), report
 
-    w = np.asarray(system.cell_weights, dtype=float)
-    rng = np.random.default_rng(_PROBE_SEED)
-    symmetric = _weighted_symmetry_gap(A, w, rng) <= 1e-12
-
     count = {"it": 0}
 
     def cb(_xk):
         count["it"] += 1
 
-    if symmetric:
-        method = "cg"
-        W = sp.diags(w)
-        A_sym = (W @ (-A)).tocsr()
-        b_sym = -(w * b)
-        d = A_sym.diagonal()
-        d = np.where(np.abs(d) > 0, d, 1.0)
-        M = LinearOperator((n, n), matvec=lambda x: x / d)
-        x, info = cg(A_sym, b_sym, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
-    else:
-        method = "bicgstab"
-        A_neg = (-A).tocsr()
-        b_neg = -b
-        d = A_neg.diagonal()
-        d = np.where(np.abs(d) > 0, d, 1.0)
-        M = LinearOperator((n, n), matvec=lambda x: x / d)
-        x, info = bicgstab(A_neg, b_neg, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
-        if info < 0:  # breakdown: restart once from the current iterate
-            x0 = x if np.all(np.isfinite(x)) else np.zeros(n)
-            x, info = bicgstab(
-                A_neg, b_neg, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb
+    method = "bicgstab"
+    A_neg = (-A).tocsr()
+    b_neg = -b
+    d = A_neg.diagonal()
+    d = np.where(np.abs(d) > 0, d, 1.0)
+    M = LinearOperator((n, n), matvec=lambda x: x / d)
+    x, info = bicgstab(A_neg, b_neg, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
+    if info < 0:  # breakdown: restart once from the current iterate
+        x0 = x if np.all(np.isfinite(x)) else np.zeros(n)
+        x, info = bicgstab(
+            A_neg, b_neg, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb
+        )
+        if info < 0:
+            res = float(np.linalg.norm(A @ x - b) / b_norm) if np.all(np.isfinite(x)) else np.inf
+            report = SolveReport(method, count["it"], res, False,
+                                 time.perf_counter() - start, n)
+            raise BreakdownDetected(
+                "BiCGStab broke down twice", best=system.field_from_vector(x), report=report
             )
-            if info < 0:
-                res = float(np.linalg.norm(A @ x - b) / b_norm) if np.all(np.isfinite(x)) else np.inf
-                report = SolveReport(method, count["it"], res, False,
-                                     time.perf_counter() - start, n)
-                raise BreakdownDetected(
-                    "BiCGStab broke down twice", best=system.field_from_vector(x), report=report
-                )
 
     residual = float(np.linalg.norm(A @ x - b) / b_norm)  # certified on the original system
     converged = residual <= 10.0 * tol

@@ -37,6 +37,10 @@ def _run(args):
     return main(args)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 # -- exit codes -------------------------------------------------------------------
 
 
@@ -137,8 +141,10 @@ def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, command):
         cfg["sweep"] = {"path": "params.a", "values": [20.0]}
         run_dir = run_dir / "run_000"
     assert _run([command, "--config", _write(tmp_path, cfg)]) == 3
-    report = json.loads((run_dir / "report.json").read_text())
+    report = json.loads((run_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
     assert report["solver"]["converged"] is False
+    assert report["solver"]["final_relative_residual"] is None
     assert report["passed"] is False
     assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
     for c in report["checks"]:

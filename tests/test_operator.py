@@ -35,6 +35,7 @@ from weinstein import (
     solve,
 )
 from weinstein.gamma import BesselWeights, bessel_sum_apply
+from weinstein.measure import r_cell_measure
 
 
 def _torsion(domain, params, h, tol=1e-12):
@@ -157,7 +158,9 @@ def test_operator_is_self_adjoint_in_weighted_inner_product_on_interior():
     support = sd <= -3 * grid.h_r
     assert np.count_nonzero(support) > 50
     rng = np.random.default_rng(7)
-    w = system.cell_weights
+    # weighted cell measure V_i h_y^k of every active node
+    cells = r_cell_measure(grid, params)[:, None] * grid.h_y**grid.k * np.ones(grid.shape)
+    w = cells[geo.inside]
     gaps = []
     for _ in range(5):
         u = np.where(support, rng.standard_normal(system.n), 0.0)

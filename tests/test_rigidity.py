@@ -190,6 +190,9 @@ def test_run_experiment_check_subset_and_unknown_name():
                             checks=["positivity", "axis_regularity"])
     assert [c.name for c in report.checks] == ["positivity", "axis_regularity"]
     assert report.passed
+    # positivity reports the smallest value of the field on the inside nodes
+    ladder = maximum_principle_check(report.u, PARAMS)
+    assert report.checks[0].value == ladder.min_interior == np.min(report.u.active_values())
     with pytest.raises(ConfigError):
         run_experiment(Ball(1.0), PARAMS, h=1.0 / 16, checks=["no_such_check"])
 
@@ -215,6 +218,19 @@ def test_report_serialization_round_trip():
     assert row[0] == "positivity"
     assert row[3] == "pass"
     assert math.isfinite(float(row[1]))
+
+
+def test_report_writes_non_finite_extras_as_null():
+    report = run_experiment(Ball(1.0), PARAMS, h=1.0 / 16, checks=["positivity"])
+    report.extras = {"sigma0_flux": math.nan, "mean_ladder_means": [0.25, math.inf],
+                     "mean_ladder_class": "constant"}
+
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    data = json.loads(report.to_json(), parse_constant=reject)
+    assert data["extras"] == {"mean_ladder_class": "constant",
+                              "mean_ladder_means": [0.25, None], "sigma0_flux": None}
 
 
 def test_k2_ball_battery_passes():

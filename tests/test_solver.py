@@ -1,12 +1,14 @@
-"""Krylov layer tests: method selection, determinism, certified residuals,
+"""Krylov layer tests: one BiCGStab path, determinism, certified residuals,
 and the failure contract (best iterate always attached)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from weinstein import (
     Ball,
+    Box,
     NoConvergence,
     SparseSystem,
     StaggeredGrid,
@@ -35,14 +37,13 @@ def _diagonal_system():
         grid=sys0.grid,
         params=sys0.params,
         dirichlet=0.0,
-        cell_weights=np.ones(n),
     )
 
 
-def test_weighted_symmetric_system_routes_to_cg():
+def test_symmetric_diagonal_system_solves_by_bicgstab():
     system = _diagonal_system()
     u, report = solve(system, tol=1e-12)
-    assert report.method == "cg"
+    assert report.method == "bicgstab"
     assert report.iterations <= 2  # Jacobi preconditioner solves -I exactly
     assert report.converged
     assert np.allclose(u.active_values(), -system.b, atol=1e-14)
@@ -57,11 +58,28 @@ def test_cut_rows_break_symmetry_and_route_to_bicgstab():
     assert report.wall_time >= 0.0
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_grid_aligned_box_solves_by_bicgstab(a):
+    # faces at 4.5 h: every cut arm has theta = 1, so the rows are symmetric
+    params = WeinsteinParams(a=a, k=1)
+    dom = Box((1.125, 1.125))
+    grid = StaggeredGrid.from_domain(dom, 1.0 / 4)
+    system = assemble_torsion_system(dom, grid, params)
+    u, report = solve(system)
+    assert report.method == "bicgstab"
+    assert report.converged
+    x = u.active_values()
+    res = float(np.linalg.norm(system.A @ x - system.b) / np.linalg.norm(system.b))
+    assert res <= 10.0 * 1e-10
+    direct = spla.spsolve(system.A.tocsc(), system.b)
+    assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
 def test_zero_rhs_short_circuits():
     system = _diagonal_system()
     zeroed = SparseSystem(
         A=system.A, b=np.zeros(system.n), domain=system.domain, grid=system.grid,
-        params=system.params, dirichlet=0.0, cell_weights=system.cell_weights,
+        params=system.params, dirichlet=0.0,
     )
     u, report = solve(zeroed)
     assert report.method == "none"

@@ -1,10 +1,12 @@
-"""The array-built stencil and CSV writer against their per-row references.
+"""The array-built stencil, derivatives and CSV writer against references.
 
 `_reference_stencil` is the per-node Shortley-Weller loop the operator
 used to assemble near-boundary rows with, and `_reference_csv` the
 per-row f-string writer.  The array code must reproduce both bit for bit:
 the matrix arrays, the boundary couplings in their summation order, the
-right-hand side, and the bytes of the file.
+right-hand side, and the bytes of the file.  `_reference_derivatives` is
+the numerator/denominator form the derivative stencils used before they
+read `three_point_weights`; the two agree up to rounding.
 """
 
 import dataclasses
@@ -25,7 +27,8 @@ from weinstein import (
     field_to_csv,
     grid_geometry,
 )
-from weinstein.geometry import ARM_FLOOR, R_AXIS
+from weinstein.differential import _arm_values, axis_derivative, axis_second_derivative
+from weinstein.geometry import ARM_FLOOR, R_AXIS, three_point_weights
 from weinstein.measure import r_cell_measure
 from weinstein.operator import CSV_BLOCK_ROWS, discretize
 
@@ -191,6 +194,37 @@ def test_case_list_reaches_the_ghost_the_arm_floor_and_two_cut_arms():
     assert theta.min() < ARM_FLOOR
     geo = grid_geometry(*_CASES["pinched_ball"][:2])
     assert (np.isfinite(geo.cut_theta[(1, 1)]) & np.isfinite(geo.cut_theta[(1, -1)])).any()
+
+
+def _reference_derivatives(field, axis):
+    """First and second Shortley-Weller derivatives as one fraction each."""
+    geo = grid_geometry(field.domain, field.grid)
+    hp, vp, hm, vm = _arm_values(field, geo, axis)
+    v0 = field.values
+    den = hm * hp * (hm + hp)
+    first = (-(hp**2) * vm + (hp**2 - hm**2) * v0 + hm**2 * vp) / den
+    second = 2.0 * (hp * vm - (hm + hp) * v0 + hm * vp) / den
+    return first, second
+
+
+@pytest.mark.parametrize("name", list(_CASES))
+def test_derivatives_match_the_fraction_form_to_rounding(name):
+    domain, grid, _ = _CASES[name]
+    geo = grid_geometry(domain, grid)
+    values = np.where(geo.inside, _dirichlet(grid.node_points()), np.nan)
+    field = ScalarField(grid=grid, domain=domain, values=values, boundary_values=_dirichlet)
+    inside = geo.inside
+    for axis in range(grid.k + 1):
+        hp, vp, hm, vm = _arm_values(field, geo, axis)
+        got = (axis_derivative(field, axis), axis_second_derivative(field, axis))
+        for weights, new, ref in zip(three_point_weights(hm, hp), got,
+                                     _reference_derivatives(field, axis)):
+            assert np.array_equal(np.isnan(new), np.isnan(ref))
+            # both forms round at the size of the terms they sum, which the
+            # 1/h^2 weights (and 1/ARM_FLOOR on a grazing arm) make far
+            # larger than the derivative itself
+            terms = sum(np.abs(w * v) for w, v in zip(weights, (vm, values, vp)))
+            assert np.all(np.abs(new - ref)[inside] <= 2e-15 * terms[inside]), axis
 
 
 def _reference_csv(field, path):
