@@ -36,11 +36,7 @@ log = logging.getLogger("weinstein")
 
 _TOP_KEYS = {"params", "domain", "grid", "solver", "checks", "output_dir",
              "seed", "sweep"}
-_DOMAIN_KEYS = {
-    "ball": {"type", "center", "radius"},
-    "ellipsoid": {"type", "center", "semi_axes"},
-    "box": {"type", "center", "half_widths"},
-}
+_DOMAINS = {cls.kind: cls for cls in (Ball, Ellipsoid, Box)}
 
 
 def _require_keys(section: dict, allowed, where: str):
@@ -89,7 +85,7 @@ class RunConfig:
     k: int
     domain_type: str
     center: tuple
-    shape: tuple  # (radius,) | semi_axes | half_widths
+    shape: tuple  # the domain's shape_key field; (radius,) for a ball
     h: float
     tol: float
     max_iter: int
@@ -115,19 +111,18 @@ class RunConfig:
         if not isinstance(dom, dict) or "type" not in dom:
             raise ConfigError("domain must be an object with a 'type'")
         dtype = dom["type"]
-        if dtype not in _DOMAIN_KEYS:
-            raise ConfigError(f"domain.type must be one of {sorted(_DOMAIN_KEYS)}")
-        _require_keys(dom, _DOMAIN_KEYS[dtype], "domain")
+        if dtype not in _DOMAINS:
+            raise ConfigError(f"domain.type must be one of {sorted(_DOMAINS)}")
+        key = _DOMAINS[dtype].shape_key
+        _require_keys(dom, {"type", "center", key}, "domain")
         center = _number_list(dom.get("center", [0.0] * k), "domain.center",
                               length=k)
-        if dtype == "ball":
-            shape = (_number(dom.get("radius"), "domain.radius", 0.0, True),)
-        elif dtype == "ellipsoid":
-            shape = _number_list(dom.get("semi_axes"), "domain.semi_axes",
-                                 length=k + 1, minimum=0.0, strict_min=True)
+        where = f"domain.{key}"
+        if key == "radius":
+            shape = (_number(dom.get(key), where, 0.0, True),)
         else:
-            shape = _number_list(dom.get("half_widths"), "domain.half_widths",
-                                 length=k + 1, minimum=0.0, strict_min=True)
+            shape = _number_list(dom.get(key), where, length=k + 1,
+                                 minimum=0.0, strict_min=True)
 
         grid = raw["grid"]
         _require_keys(grid, {"h"}, "grid")
@@ -173,12 +168,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         dom = {"type": self.domain_type, "center": list(self.center)}
-        if self.domain_type == "ball":
-            dom["radius"] = self.shape[0]
-        elif self.domain_type == "ellipsoid":
-            dom["semi_axes"] = list(self.shape)
-        else:
-            dom["half_widths"] = list(self.shape)
+        dom.update(self._domain_shape())
         out = {
             "params": {"a": self.a, "k": self.k},
             "domain": dom,
@@ -193,12 +183,12 @@ class RunConfig:
                             "values": list(self.sweep_values)}
         return out
 
+    def _domain_shape(self) -> dict:
+        key = _DOMAINS[self.domain_type].shape_key
+        return {key: self.shape[0] if key == "radius" else list(self.shape)}
+
     def build_domain(self):
-        if self.domain_type == "ball":
-            return Ball(radius=self.shape[0], center=self.center)
-        if self.domain_type == "ellipsoid":
-            return Ellipsoid(semi_axes=self.shape, center=self.center)
-        return Box(half_widths=self.shape, center=self.center)
+        return _DOMAINS[self.domain_type](center=self.center, **self._domain_shape())
 
     def build_params(self) -> WeinsteinParams:
         return WeinsteinParams(a=self.a, k=self.k)

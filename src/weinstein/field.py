@@ -9,7 +9,7 @@ the axial symmetry of the problem dictates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -70,14 +70,6 @@ class ScalarField:
 
     def active_values(self):
         return self.values[self.geometry.inside]
-
-    def with_values(self, values, parity=None, boundary_values=None):
-        return replace(
-            self,
-            values=values,
-            parity=self.parity if parity is None else parity,
-            boundary_values=boundary_values,
-        )
 
     def boundary_value_at(self, points):
         """Evaluate the attached Dirichlet data at boundary points."""

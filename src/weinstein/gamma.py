@@ -151,28 +151,9 @@ def _cd_defect_poly(u, weights):
 
 
 def cd_defect_values(u: PolyField, weights, points):
-    """Exact rational Gamma2 - (B u)^2 / N at each point (fast path: the
-    derivative polynomials are formed once and only scalars are combined)."""
-    weights = _coerce_weights(weights, u.nvars)
-    _, d2, q = _exact_parts(u, weights)
-    N = weights.effective_dimension
-    out = []
-    for pt in points:
-        pt = [_as_fraction(x) for x in pt]
-        g2 = Fraction(0)
-        bu = Fraction(0)
-        for (i, j), dij in d2.items():
-            v = dij.eval_exact(pt)
-            g2 += v * v if i == j else 2 * v * v
-            if i == j:
-                bu += v
-        for a_i, q_i in zip(weights.weights, q):
-            if q_i is not None:
-                v = q_i.eval_exact(pt)
-                g2 += a_i * v * v
-                bu += a_i * v
-        out.append(g2 - bu * bu / N)
-    return out
+    """Exact rational Gamma2 - (B u)^2 / N at each point."""
+    defect = _cd_defect_poly(u, weights)
+    return [defect.eval_exact(pt) for pt in points]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ the domain so that refinement preserves the symmetry of node positions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .errors import EmptyDomain, UnsupportedShape
 R_AXIS = 0  # index of the weighted radial coordinate
 NEWTON_MAX_ITER = 40  # cap on the Newton iterations of the ellipsoid distance
 ARM_FLOOR = 1e-6  # shortest cut arm, as a fraction of the step
+MARGIN_CELLS = 2  # lattice cells of slack beyond the domain on each side
 
 
 def shift(array, axis, direction, fill, mirror_sign=1.0):
@@ -42,55 +44,53 @@ def shift(array, axis, direction, fill, mirror_sign=1.0):
     return out
 
 
-def _quadric_axis_cut(points, center, semi, axis, direction, h):
-    """Step fraction at which the line from each point along (axis,
-    direction) leaves sum((q_i / s_i)^2) <= 1, q = x - (0, center).
-
-    On the line only q_axis moves, so the crossing solves a scalar
-    quadratic; the arm takes its larger root."""
-    q = np.asarray(points, dtype=float) - np.array([0.0, *center])
-    s = np.asarray(semi, dtype=float)
-    rest = np.delete(q / s, axis, axis=-1)
-    room = np.sqrt(np.maximum(1.0 - np.sum(rest * rest, axis=-1), 0.0))
-    return (s[axis] * room - direction * q[..., axis]) / h
-
-
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Euclidean ball of given radius centered at (0, center) on the axis."""
+class _AxialDomain:
+    """What every domain shape shares.
 
-    radius: float
-    center: tuple = (0.0,)
+    A subclass is a frozen dataclass with two fields, `center` (the k axial
+    coordinates of the centre) and the size named by the class attribute
+    `shape_key` (one extent per axis, or the ball's scalar radius).  It
+    also sets `kind`, the "type" of configs and descriptors, and, when its
+    boundary has corners, `smooth_boundary = False`.  `extents` are the
+    k+1 semi-extents along (r, y1, ..., yk)."""
+
+    smooth_boundary = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        shape = getattr(self, self.shape_key)
+        if np.iterable(shape):  # one extent per axis; the ball's radius is a scalar
+            object.__setattr__(self, self.shape_key, tuple(float(s) for s in shape))
+        noun = self.shape_key.replace("_", "-")
+        if len(self.extents) != self.k + 1:
+            raise ValueError(f"need k+1 {noun} for k center coordinates")
+        if any(e <= 0 for e in self.extents):
+            raise ValueError(f"{noun} must be positive")
+
+    @property
+    def extents(self):
+        return getattr(self, self.shape_key)
 
     @property
     def k(self):
         return len(self.center)
 
     @property
-    def smooth_boundary(self):
-        return True
+    def y_center(self):
+        return self.center
 
     @property
     def r_extent(self):
-        return self.radius
+        return self.extents[0]
 
     @property
     def y_halfwidth(self):
-        return (self.radius,) * self.k
-
-    @property
-    def y_center(self):
-        return self.center
+        return self.extents[1:]
 
     def _centered(self, x):
         x = np.asarray(x, dtype=float)
@@ -98,6 +98,41 @@ class Ball:
         q[..., 0] = np.abs(x[..., 0])
         q[..., 1:] = x[..., 1:] - np.asarray(self.center)
         return q
+
+    def axis_cut(self, points, axis, direction, h):
+        """Fraction of the step h along (axis, direction) at which the arm
+        from each inside point leaves sum((q_i / e_i)^2) <= 1, with
+        q = x - (0, center) and e the extents.
+
+        On the line only q_axis moves, so the crossing solves a scalar
+        quadratic; the arm takes its larger root."""
+        q = np.asarray(points, dtype=float) - np.array([0.0, *self.center])
+        s = np.asarray(self.extents, dtype=float)
+        rest = np.delete(q / s, axis, axis=-1)
+        room = np.sqrt(np.maximum(1.0 - np.sum(rest * rest, axis=-1), 0.0))
+        return (s[axis] * room - direction * q[..., axis]) / h
+
+    def descriptor(self):
+        shape = getattr(self, self.shape_key)
+        return {
+            "type": self.kind,
+            self.shape_key: list(shape) if np.iterable(shape) else shape,
+            "center": list(self.center),
+        }
+
+
+@dataclass(frozen=True)
+class Ball(_AxialDomain):
+    """Euclidean ball of given radius centered at (0, center) on the axis."""
+
+    radius: float
+    center: tuple = (0.0,)
+
+    kind, shape_key = "ball", "radius"
+
+    @property
+    def extents(self):
+        return (self.radius,) * (self.k + 1)
 
     def signed_distance(self, x):
         q = self._centered(x)
@@ -111,18 +146,9 @@ class Ball:
         g[..., 0] *= np.sign(x[..., 0])
         return g
 
-    def axis_cut(self, points, axis, direction, h):
-        """Fraction of the step h along (axis, direction) at which the arm
-        from each inside point leaves the ball."""
-        return _quadric_axis_cut(points, self.center, (self.radius,) * (self.k + 1),
-                                 axis, direction, h)
-
-    def descriptor(self):
-        return {"type": "ball", "radius": self.radius, "center": list(self.center)}
-
 
 @dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(_AxialDomain):
     """Axis-aligned ellipsoid sum((x_i - c_i)^2 / s_i^2) = 1, c on the axis.
 
     semi_axes[0] is the r semi-axis.  The signed distance is the true
@@ -141,40 +167,7 @@ class Ellipsoid:
     semi_axes: tuple
     center: tuple = (0.0,)
 
-    def __post_init__(self):
-        object.__setattr__(self, "semi_axes", tuple(float(s) for s in self.semi_axes))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if len(self.semi_axes) != len(self.center) + 1:
-            raise ValueError("need k+1 semi-axes for k center coordinates")
-        if any(s <= 0 for s in self.semi_axes):
-            raise ValueError("semi-axes must be positive")
-
-    @property
-    def k(self):
-        return len(self.center)
-
-    @property
-    def smooth_boundary(self):
-        return True
-
-    @property
-    def r_extent(self):
-        return self.semi_axes[0]
-
-    @property
-    def y_halfwidth(self):
-        return self.semi_axes[1:]
-
-    @property
-    def y_center(self):
-        return self.center
-
-    def _centered(self, x):
-        x = np.asarray(x, dtype=float)
-        q = np.empty_like(x)
-        q[..., 0] = np.abs(x[..., 0])
-        q[..., 1:] = x[..., 1:] - np.asarray(self.center)
-        return q
+    kind, shape_key = "ellipsoid", "semi_axes"
 
     def _nearest(self, q):
         """Nearest boundary point p and 'deep' mask, q already centered."""
@@ -214,18 +207,6 @@ class Ellipsoid:
         g[..., 0] *= np.sign(x[..., 0])
         return g
 
-    def axis_cut(self, points, axis, direction, h):
-        """Fraction of the step h along (axis, direction) at which the arm
-        from each inside point leaves the ellipsoid."""
-        return _quadric_axis_cut(points, self.center, self.semi_axes, axis, direction, h)
-
-    def descriptor(self):
-        return {
-            "type": "ellipsoid",
-            "semi_axes": list(self.semi_axes),
-            "center": list(self.center),
-        }
-
 
 def _ellipsoid_root(sq, s2):
     """Root x = t + min(s2) of f = sum((sq_i / (d_i + x))^2) - 1, with
@@ -259,46 +240,18 @@ def _ellipsoid_root(sq, s2):
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_AxialDomain):
     """Axis-aligned box |x_i - c_i| <= w_i; boundary has corners, so the
     smooth-boundary experiments reject it while volume quadrature stays exact."""
 
     half_widths: tuple
     center: tuple = (0.0,)
 
-    def __post_init__(self):
-        object.__setattr__(self, "half_widths", tuple(float(w) for w in self.half_widths))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if len(self.half_widths) != len(self.center) + 1:
-            raise ValueError("need k+1 half-widths for k center coordinates")
-        if any(w <= 0 for w in self.half_widths):
-            raise ValueError("half-widths must be positive")
-
-    @property
-    def k(self):
-        return len(self.center)
-
-    @property
-    def smooth_boundary(self):
-        return False
-
-    @property
-    def r_extent(self):
-        return self.half_widths[0]
-
-    @property
-    def y_halfwidth(self):
-        return self.half_widths[1:]
-
-    @property
-    def y_center(self):
-        return self.center
+    kind, shape_key = "box", "half_widths"
+    smooth_boundary = False
 
     def signed_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        q = np.empty_like(x)
-        q[..., 0] = np.abs(x[..., 0])
-        q[..., 1:] = x[..., 1:] - np.asarray(self.center)
+        q = self._centered(x)
         d = np.abs(q) - np.asarray(self.half_widths)
         outside = np.linalg.norm(np.maximum(d, 0.0), axis=-1)
         inside = np.minimum(d.max(axis=-1), 0.0)
@@ -306,9 +259,7 @@ class Box:
 
     def sd_gradient(self, x):
         x = np.asarray(x, dtype=float)
-        q = np.empty_like(x)
-        q[..., 0] = np.abs(x[..., 0])
-        q[..., 1:] = x[..., 1:] - np.asarray(self.center)
+        q = self._centered(x)
         d = np.abs(q) - np.asarray(self.half_widths)
         out = np.maximum(d, 0.0)
         n = np.linalg.norm(out, axis=-1, keepdims=True)
@@ -333,13 +284,6 @@ class Box:
         q = np.asarray(points, dtype=float) - np.array([0.0, *self.center])
         return (self.half_widths[axis] - direction * q[..., axis]) / h
 
-    def descriptor(self):
-        return {
-            "type": "box",
-            "half_widths": list(self.half_widths),
-            "center": list(self.center),
-        }
-
 
 # ---------------------------------------------------------------------------
 # staggered grid
@@ -361,15 +305,15 @@ class StaggeredGrid:
         object.__setattr__(self, "y_start", tuple(float(y) for y in self.y_start))
 
     @classmethod
-    def from_domain(cls, domain, h, margin_cells=2):
-        """Cover the domain with at least margin_cells of slack per side."""
+    def from_domain(cls, domain, h):
+        """Cover the domain with at least MARGIN_CELLS of slack per side."""
         h = float(h)
         if h <= 0:
             raise ValueError("h must be positive")
-        n_r = int(math.floor(domain.r_extent / h + 1e-12)) + margin_cells
+        n_r = int(math.floor(domain.r_extent / h + 1e-12)) + MARGIN_CELLS
         n_y, y_start = [], []
         for c, w in zip(domain.y_center, domain.y_halfwidth):
-            half = int(math.floor(w / h + 1e-12)) + margin_cells
+            half = int(math.floor(w / h + 1e-12)) + MARGIN_CELLS
             n = 2 * half
             n_y.append(n)
             y_start.append(c - (n - 1) / 2.0 * h)
@@ -602,18 +546,9 @@ def _box_cell_overlap(domain, centers, h):
     return np.prod(overlap / h, axis=-1)
 
 
-_GEOMETRY_CACHE = {}
-
-
+@functools.lru_cache(maxsize=16)
 def grid_geometry(domain, grid) -> GridGeometry:
-    key = (domain, grid)
-    geo = _GEOMETRY_CACHE.get(key)
-    if geo is None:
-        geo = GridGeometry(domain, grid)
-        if len(_GEOMETRY_CACHE) > 16:
-            _GEOMETRY_CACHE.clear()
-        _GEOMETRY_CACHE[key] = geo
-    return geo
+    return GridGeometry(domain, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +611,12 @@ def boundary_samples(domain, count) -> BoundarySamples:
     weights carry the exact area Jacobian det(S) |S^{-1} w|, so they sum to
     the unweighted area of Sigma up to lattice discretization error.
     """
-    if isinstance(domain, Ball):
-        semi = np.full(domain.k + 1, domain.radius)
-    elif isinstance(domain, Ellipsoid):
-        semi = np.array(domain.semi_axes)
-    else:
+    if not domain.smooth_boundary:
         raise UnsupportedShape(
             "boundary sampling needs a smooth shape (ball or ellipsoid), "
             f"got {type(domain).__name__}"
         )
+    semi = np.asarray(domain.extents, dtype=float)
     k = domain.k
     omegas, w0 = sphere_lattice(k, 2 * int(count))
     keep = omegas[:, 0] > 0.0

@@ -23,6 +23,7 @@ weighted inner product <u, v> = sum u v V_i h^k; cut rows are not.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,18 +170,9 @@ class _Stencil:
         return out
 
 
-_STENCIL_CACHE = {}
-
-
+@functools.lru_cache(maxsize=8)
 def discretize(domain, grid, params) -> _Stencil:
-    key = (domain, grid, params)
-    st = _STENCIL_CACHE.get(key)
-    if st is None:
-        st = _Stencil(domain, grid, params)
-        if len(_STENCIL_CACHE) > 8:
-            _STENCIL_CACHE.clear()
-        _STENCIL_CACHE[key] = st
-    return st
+    return _Stencil(domain, grid, params)
 
 
 # ---------------------------------------------------------------------------

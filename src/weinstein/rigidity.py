@@ -438,8 +438,7 @@ def _cd_random_battery(params: WeinsteinParams, seed: int,
 
 def run_experiment(domain, params: WeinsteinParams, h: float,
                    checks=None, solver_tol: float = 1e-10,
-                   max_iter: int = 20000, n_surface: int = 20000,
-                   seed: int = 0, margin_cells: int = 2) -> ExperimentReport:
+                   max_iter: int = 20000, seed: int = 0) -> ExperimentReport:
     """Solve the torsion problem on `domain` at resolution h and run the
     selected verification checks (all of them by default)."""
     from .geometry import StaggeredGrid
@@ -456,7 +455,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             f"domain has {domain.k} axial coordinates but params.k = {params.k}"
         )
 
-    grid = StaggeredGrid.from_domain(domain, h, margin_cells=margin_cells)
+    grid = StaggeredGrid.from_domain(domain, h)
     system = assemble_torsion_system(domain, grid, params)
     try:
         u, solve_report = solve(system, tol=solver_tol, max_iter=max_iter)
@@ -486,7 +485,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
                                 "p_integral", "p_constancy", "flux_identity",
                                 "pohozaev")):
         try:
-            stats = boundary_gradient_stats(u, params, count=n_surface)
+            stats = boundary_gradient_stats(u, params)
         except UnsupportedShape:
             stats = None
 
@@ -533,7 +532,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "flux_identity":
             try:
-                pair = flux_identity_residual(domain, params, grid, count=n_surface)
+                pair = flux_identity_residual(domain, params, grid)
             except UnsupportedShape:
                 skipped(name, "boundary sampling unsupported for this shape")
                 continue
@@ -543,13 +542,13 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             if stats is None:
                 skipped(name, "boundary sampling unsupported for this shape")
                 continue
-            pair = pohozaev_residual(u, params, count=n_surface)
+            pair = pohozaev_residual(u, params)
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "p_integral":
             if stats is None:
                 skipped(name, "boundary sampling unsupported for this shape")
                 continue
-            pair = p_integral_residual(u, params, c=stats.mean, count=n_surface)
+            pair = p_integral_residual(u, params, c=stats.mean)
             extras["p_integral_lhs"] = pair.lhs
             extras["p_integral_rhs"] = pair.rhs
             judge(name, pair.residual, 1e-3 * max(1.0, (64.0 * h) ** 2))

@@ -20,6 +20,13 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import BreakdownDetected, NoConvergence
 
+FINITE_CHECK_EVERY = 16  # iterations between the checks for an overflowed iterate
+
+
+class _NonFiniteIterate(Exception):
+    """Raised from the BiCGStab callback with an overflowed iterate, from
+    which the iteration cannot recover."""
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -48,8 +55,10 @@ def solve(system, tol=1e-10, max_iter=20000):
 
     count = {"it": 0}
 
-    def cb(_xk):
+    def cb(xk):
         count["it"] += 1
+        if count["it"] % FINITE_CHECK_EVERY == 0 and not np.all(np.isfinite(xk)):
+            raise _NonFiniteIterate(xk)
 
     method = "bicgstab"
     A_neg = (-A).tocsr()
@@ -57,12 +66,17 @@ def solve(system, tol=1e-10, max_iter=20000):
     d = A_neg.diagonal()
     d = np.where(np.abs(d) > 0, d, 1.0)
     M = LinearOperator((n, n), matvec=lambda x: x / d)
-    x, info = bicgstab(A_neg, b_neg, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb)
+
+    def run(x0):
+        try:
+            return bicgstab(A_neg, b_neg, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+                            M=M, callback=cb)
+        except _NonFiniteIterate as stop:  # certified below as not converged
+            return stop.args[0], max_iter
+
+    x, info = run(None)
     if info < 0:  # breakdown: restart once from the current iterate
-        x0 = x if np.all(np.isfinite(x)) else np.zeros(n)
-        x, info = bicgstab(
-            A_neg, b_neg, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=cb
-        )
+        x, info = run(x if np.all(np.isfinite(x)) else np.zeros(n))
         if info < 0:
             res = float(np.linalg.norm(A @ x - b) / b_norm) if np.all(np.isfinite(x)) else np.inf
             report = SolveReport(method, count["it"], res, False,

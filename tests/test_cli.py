@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from weinstein.cli import RunConfig, main
+from weinstein.geometry import Ball, Box, Ellipsoid
 from weinstein.rigidity import CHECK_NAMES
 
 BALL = {
@@ -145,6 +146,7 @@ def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, command):
                         parse_constant=_reject_constant)
     assert report["solver"]["converged"] is False
     assert report["solver"]["final_relative_residual"] is None
+    assert report["solver"]["iterations"] < 20000  # stopped at the overflow
     assert report["passed"] is False
     assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
     for c in report["checks"]:
@@ -184,6 +186,31 @@ def test_report_echoes_a_reparseable_config(tmp_path):
     assert _run(["verify", "--config", path]) == 0
     echoed = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
     assert RunConfig.parse(echoed) == RunConfig.parse(cfg)
+
+
+@pytest.mark.parametrize("block, domain, bad", [
+    ({"type": "ball", "center": [0.1], "radius": 0.8},
+     Ball(radius=0.8, center=(0.1,)),
+     [({"radius": 0.0}, "radius must be positive")]),
+    ({"type": "ellipsoid", "center": [0.1], "semi_axes": [1.0, 2.0]},
+     Ellipsoid(semi_axes=(1.0, 2.0), center=(0.1,)),
+     [({"semi_axes": (1.0, 2.0, 3.0)}, "need k+1 semi-axes for k center coordinates"),
+      ({"semi_axes": (1.0, -2.0)}, "semi-axes must be positive")]),
+    ({"type": "box", "center": [0.1], "half_widths": [0.5, 0.75]},
+     Box(half_widths=(0.5, 0.75), center=(0.1,)),
+     [({"half_widths": (0.5,)}, "need k+1 half-widths for k center coordinates"),
+      ({"half_widths": (0.0, 0.75)}, "half-widths must be positive")]),
+])
+def test_domain_block_matches_domain_and_descriptor(block, domain, bad):
+    cfg = RunConfig.parse({"params": {"a": 1.0, "k": 1}, "domain": block,
+                           "grid": {"h": 0.0625}})
+    assert cfg.build_domain() == domain
+    assert cfg.to_dict()["domain"] == block
+    assert domain.descriptor() == block
+    for shape, message in bad:
+        with pytest.raises(ValueError) as exc:
+            type(domain)(center=(0.1,), **shape)
+        assert str(exc.value) == message
 
 
 def test_out_flag_overrides_output_dir(tmp_path):
