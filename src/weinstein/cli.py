@@ -231,11 +231,12 @@ def _set_sweep_value(raw: dict, path: str, value: float) -> dict:
 
 
 def _execute(cfg: RunConfig, checks):
-    domain = cfg.build_domain()
-    params = cfg.build_params()
-    return run_experiment(domain, params, cfg.h, checks=checks,
-                          solver_tol=cfg.tol, max_iter=cfg.max_iter,
-                          seed=cfg.seed)
+    report = run_experiment(cfg.build_domain(), cfg.build_params(), cfg.h,
+                            checks=checks, solver_tol=cfg.tol,
+                            max_iter=cfg.max_iter, seed=cfg.seed)
+    if report.failure is not None:
+        print(f"solver failure: {report.failure}", file=sys.stderr)
+    return report
 
 
 def _write_outputs(report, cfg: RunConfig, out_dir: str):

@@ -57,7 +57,9 @@ class _AxialDomain:
     `shape_key` (one extent per axis, or the ball's scalar radius).  It
     also sets `kind`, the "type" of configs and descriptors, and, when its
     boundary has corners, `smooth_boundary = False`.  `extents` are the
-    k+1 semi-extents along (r, y1, ..., yk)."""
+    k+1 semi-extents along (r, y1, ..., yk).  A shape that knows more
+    overrides `exact_torsion` (a closed-form solution) or `cell_fraction`
+    (an exact cell overlap)."""
 
     smooth_boundary = True
 
@@ -92,21 +94,33 @@ class _AxialDomain:
     def y_halfwidth(self):
         return self.extents[1:]
 
+    def offset(self, x):
+        """x - (0, center): the points relative to the centre, r kept signed."""
+        return np.asarray(x, dtype=float) - np.array([0.0, *self.center])
+
     def _centered(self, x):
-        x = np.asarray(x, dtype=float)
-        q = np.empty_like(x)
-        q[..., 0] = np.abs(x[..., 0])
-        q[..., 1:] = x[..., 1:] - np.asarray(self.center)
+        q = self.offset(x)
+        q[..., 0] = np.abs(q[..., 0])
         return q
+
+    def exact_torsion(self, params):
+        """(u, |du/dn|): the closed-form torsion function and its constant
+        boundary slope, or None where the shape has none."""
+        return None
+
+    def cell_fraction(self, centers, sd, h):
+        """Covered fraction of the cells of side h at `centers` (signed
+        distances sd), from the tangent half-space of the boundary."""
+        return _halfspace_cell_fraction(self.sd_gradient(centers), sd, h)
 
     def axis_cut(self, points, axis, direction, h):
         """Fraction of the step h along (axis, direction) at which the arm
         from each inside point leaves sum((q_i / e_i)^2) <= 1, with
-        q = x - (0, center) and e the extents.
+        q = offset(x) and e the extents.
 
         On the line only q_axis moves, so the crossing solves a scalar
         quadratic; the arm takes its larger root."""
-        q = np.asarray(points, dtype=float) - np.array([0.0, *self.center])
+        q = self.offset(points)
         s = np.asarray(self.extents, dtype=float)
         rest = np.delete(q / s, axis, axis=-1)
         room = np.sqrt(np.maximum(1.0 - np.sum(rest * rest, axis=-1), 0.0))
@@ -133,6 +147,17 @@ class Ball(_AxialDomain):
     @property
     def extents(self):
         return (self.radius,) * (self.k + 1)
+
+    def exact_torsion(self, params):
+        """u = (R^2 - rho^2) / (2N), N = a + 1 + k, with |du/dn| = R / N."""
+        R, N = self.radius, params.dim_eff
+
+        def u_exact(pts):
+            q = self.offset(pts)
+            rho2 = q[..., 0] ** 2 + np.sum(q[..., 1:] ** 2, axis=-1)
+            return (R * R - rho2) / (2.0 * N)
+
+        return u_exact, R / N
 
     def signed_distance(self, x):
         q = self._centered(x)
@@ -281,8 +306,14 @@ class Box(_AxialDomain):
     def axis_cut(self, points, axis, direction, h):
         """Fraction of the step h along (axis, direction) at which the arm
         from each inside point meets the face |x_axis - c_axis| = w_axis."""
-        q = np.asarray(points, dtype=float) - np.array([0.0, *self.center])
-        return (self.half_widths[axis] - direction * q[..., axis]) / h
+        return (self.half_widths[axis] - direction * self.offset(points)[..., axis]) / h
+
+    def cell_fraction(self, centers, sd, h):
+        """Exact covered fraction of the cells; the region r < 0 mirrors
+        into r > 0, so the box covers |r| <= w_r."""
+        c, w = np.array([0.0, *self.center]), np.array(self.half_widths)
+        overlap = np.minimum(centers + h / 2.0, c + w) - np.maximum(centers - h / 2.0, c - w)
+        return np.prod(np.clip(overlap, 0.0, h) / h, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +376,6 @@ class StaggeredGrid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def node_point(self, index):
-        ax = self.axes()
-        return np.array([ax[d][index[d]] for d in range(self.k + 1)])
-
     def step(self, axis):
         """Lattice spacing along `axis`."""
         return self.h_r if axis == R_AXIS else self.h_y
@@ -387,6 +414,8 @@ class GridGeometry:
     cut_theta       {(axis, dir): array}, fraction of the step at which the
                     arm crosses the boundary (closed form from
                     `domain.axis_cut`, clipped to [0, 1]), nan if no cut
+    cut_points      {(axis, dir): (n_cut, k+1) array}, where the cut arms
+                    of the cut nodes (in C order) meet the boundary
     volfrac         fraction of each node's cell covered by the domain,
                     from a local planar model of the boundary
     donor_flat      for covered cells whose center is outside: flat index of
@@ -405,16 +434,20 @@ class GridGeometry:
         self.inside = inside
 
         dim = grid.k + 1
-        self.cut_theta = {}
+        self.cut_theta, self.cut_points = {}, {}
         any_cut = np.zeros(grid.shape, dtype=bool)
         for axis in range(dim):
+            h = grid.step(axis)
             for direction in _DIRS:
                 cut = inside & ~shift(inside, axis, direction, False)
                 theta = np.full(grid.shape, np.nan)
-                if cut.any():
-                    theta[cut] = np.clip(
-                        domain.axis_cut(pts[cut], axis, direction, grid.step(axis)), 0.0, 1.0)
+                points = pts[cut]
+                t = np.clip(domain.axis_cut(points, axis, direction, h), 0.0, 1.0)
+                theta[cut] = t
+                points[:, axis] += t * (direction * h)
+                points.flags.writeable = False  # shared by every arm() caller
                 self.cut_theta[(axis, direction)] = theta
+                self.cut_points[(axis, direction)] = points
                 any_cut |= cut
         self.near = inside & any_cut
         self.interior = inside & ~any_cut
@@ -441,16 +474,12 @@ class GridGeometry:
         Returns the arm length over grid.shape (the step, or
         max(theta, ARM_FLOOR) times the step where the arm is cut), the cut
         mask, and the cut points of the cut nodes in C order."""
-        grid = self.grid
-        h = grid.step(axis)
+        h = self.grid.step(axis)
         theta = self.cut_theta[(axis, direction)]
         cut = np.isfinite(theta)
-        t = theta[cut]
-        length = np.full(grid.shape, h)
-        length[cut] = np.maximum(t, ARM_FLOOR) * h
-        points = np.stack([ax[i] for ax, i in zip(grid.axes(), np.nonzero(cut))], axis=-1)
-        points[:, axis] += t * (direction * h)
-        return length, cut, points
+        length = np.full(self.grid.shape, h)
+        length[cut] = np.maximum(theta[cut], ARM_FLOOR) * h
+        return length, cut, self.cut_points[(axis, direction)]
 
     def _build_volume_fractions(self, pts, sd):
         grid, domain = self.grid, self.domain
@@ -460,34 +489,31 @@ class GridGeometry:
         band = np.abs(sd) <= half_diag * 1.0001
         frac = np.where(sd < 0, 1.0, 0.0)
         if band.any():
-            centers = pts[band]
-            if isinstance(domain, Box):
-                frac_band = _box_cell_overlap(domain, centers, h)
-            else:
-                normals = domain.sd_gradient(centers)
-                frac_band = _halfspace_cell_fraction(normals, sd[band], h)
-            frac[band] = frac_band
+            frac[band] = domain.cell_fraction(pts[band], sd[band], h)
         self.volfrac = frac
 
+        # each covered cell whose center is outside reads from the first
+        # inside neighbor against its normal, axes taken by decreasing |n|
         covered_out = (frac > 0) & ~self.inside
         donor = np.full(grid.shape, -1, dtype=np.int64)
         if covered_out.any():
             idx = np.argwhere(covered_out)
+            flat = np.flatnonzero(covered_out)
             normals = domain.sd_gradient(pts[covered_out])
-            flat_strides = np.array(
-                [int(np.prod(grid.shape[d + 1 :], dtype=np.int64)) for d in range(dim)]
-            )
-            for row, n_vec in zip(idx, normals):
-                order = np.argsort(-np.abs(n_vec))
-                found = -1
-                for d in order:
-                    step = -1 if n_vec[d] > 0 else 1
-                    nb = row.copy()
-                    nb[d] += step
-                    if 0 <= nb[d] < grid.shape[d] and self.inside[tuple(nb)]:
-                        found = int(np.dot(nb, flat_strides))
-                        break
-                donor[tuple(row)] = found
+            order = np.argsort(-np.abs(normals), axis=-1)
+            strides = np.array([int(np.prod(grid.shape[d + 1:])) for d in range(dim)])
+            inside = self.inside.reshape(-1)
+            found = np.full(flat.size, -1, dtype=np.int64)
+            for rank in range(dim):
+                todo = np.flatnonzero(found < 0)
+                d = order[todo, rank]
+                step = np.where(normals[todo, d] > 0, -1, 1)
+                target = idx[todo, d] + step
+                nb = flat[todo] + step * strides[d]
+                hit = (target >= 0) & (target < np.take(grid.shape, d))
+                hit[hit] = inside[nb[hit]]
+                found[todo[hit]] = nb[hit]
+            donor[covered_out] = found
         self.donor_flat = donor
 
 
@@ -530,20 +556,6 @@ def _halfspace_cell_fraction(normals, sd, h):
         denom = math.factorial(d_eff) * np.prod(mm, axis=-1)
         out[sel] = total / denom
     return np.clip(out, 0.0, 1.0)
-
-
-def _box_cell_overlap(domain, centers, h):
-    """Exact covered fraction of cells against an axis-aligned box."""
-    lo = np.array([0.0, *domain.center]) - np.array(domain.half_widths)
-    hi = np.array([0.0, *domain.center]) + np.array(domain.half_widths)
-    lo[0] = -domain.half_widths[0]
-    hi[0] = domain.half_widths[0]
-    a = centers - h / 2.0
-    b = centers + h / 2.0
-    # the physical region r < 0 mirrors into r > 0; the box covers |r| <= w_r
-    overlap = np.minimum(b, hi) - np.maximum(a, lo)
-    overlap = np.clip(overlap, 0.0, h)
-    return np.prod(overlap / h, axis=-1)
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,12 +3,6 @@
 Variables are ordered (r, y1, ..., yk); variable 0 is always the weighted
 radial coordinate.  Coefficients are fractions.Fraction, so differential
 identities checked with these polynomials are exact, not floating point.
-
-Plain-text serialization: one monomial per line,
-
-    coeff_num/coeff_den  exp_r  exp_y1 ... exp_yk
-
-Blank lines and lines starting with '#' are ignored.
 """
 
 from __future__ import annotations
@@ -143,11 +137,6 @@ class PolyField:
             out[new] = out.get(new, Fraction(0)) + c * e
         return PolyField(self.nvars, out)
 
-    def degree(self):
-        if not self.coeffs:
-            return 0
-        return max(sum(m) for m in self.coeffs)
-
     # -- parity and weighted division ----------------------------------------
 
     def parity_in(self, axis):
@@ -207,42 +196,3 @@ class PolyField:
 
     def __call__(self, points):
         return self.eval_float(points)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_text(self):
-        lines = []
-        for mono in sorted(self.coeffs):
-            c = self.coeffs[mono]
-            exps = " ".join(str(e) for e in mono)
-            lines.append(f"{c.numerator}/{c.denominator} {exps}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text, k=None):
-        """Parse the monomial-list format; k (tangential arity) is inferred
-        from the first data line when not given."""
-        coeffs = {}
-        nvars = None if k is None else k + 1
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise ValueError(f"line {lineno}: expected coefficient and exponents")
-            try:
-                c = Fraction(fields[0])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"line {lineno}: bad coefficient {fields[0]!r}") from exc
-            exps = tuple(int(f) for f in fields[1:])
-            if any(e < 0 for e in exps):
-                raise ValueError(f"line {lineno}: negative exponent")
-            if nvars is None:
-                nvars = len(exps)
-            elif len(exps) != nvars:
-                raise ValueError(f"line {lineno}: expected {nvars} exponents, got {len(exps)}")
-            coeffs[exps] = coeffs.get(exps, Fraction(0)) + c
-        if nvars is None:
-            raise ValueError("no monomials found and arity not given")
-        return cls(nvars, coeffs)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .field import ScalarField
 from .gamma import BesselWeights, cd_defect_values, p_function
-from .geometry import Ball, boundary_samples
+from .geometry import boundary_samples
 from .measure import spherical_mean, weighted_volume_integral
 from .operator import (
     assemble_torsion_system,
@@ -85,9 +85,7 @@ def flux_identity_residual(domain, params: WeinsteinParams, grid,
     lhs = params.dim_eff * weighted_volume_integral(1.0, params, domain=domain,
                                                     grid=grid).value
     s, w = _weighted_samples(domain, params, count)
-    yc = np.asarray(domain.y_center)
-    z = s.points.copy()
-    z[:, 1:] -= yc
+    z = domain.offset(s.points)
     rhs = float(np.sum(w * np.sum(z * s.normals, axis=-1)))
     return IdentityPair(lhs, rhs)
 
@@ -103,10 +101,7 @@ def pohozaev_residual(u: ScalarField, params: WeinsteinParams,
 
     s, w = _weighted_samples(u.domain, params, count)
     un = boundary_normal_gradient(u, samples=s)
-    yc = np.asarray(u.domain.y_center)
-    z = s.points.copy()
-    z[:, 1:] -= yc
-    zn = np.sum(z * s.normals, axis=-1)
+    zn = np.sum(u.domain.offset(s.points) * s.normals, axis=-1)
     lhs = -0.5 * float(np.sum(w * un**2 * zn))
     energy = weighted_volume_integral(_gamma(u), params, grid=u.grid,
                                       domain=u.domain).value
@@ -262,6 +257,7 @@ class ExperimentReport:
     checks: list
     extras: dict = field(default_factory=dict)
     u: Optional[ScalarField] = None  # solved field, not serialized
+    failure: Optional[str] = None  # the solver's message when it did not converge, not serialized
 
     @property
     def passed(self) -> bool:
@@ -327,30 +323,16 @@ CHECK_NAMES = (
 # judged on every domain: the rigidity theorem makes them pass exactly on
 # balls, so a failing exit on an ellipsoid is the theorem at work, not a bug.
 
-
-def _ball_profile(domain: Ball, params: WeinsteinParams) -> Callable:
-    R = domain.radius
-    y0 = np.asarray(domain.y_center)
-    N = params.dim_eff
-
-    def u_exact(pts):
-        pts = np.asarray(pts, dtype=float)
-        rho2 = pts[..., 0] ** 2 + np.sum((pts[..., 1:] - y0) ** 2, axis=-1)
-        return (R * R - rho2) / (2.0 * N)
-
-    return u_exact
-
-
-def _shifted_poly_callable(poly: PolyField, y0):
-    y0 = np.asarray(y0, dtype=float)
-
-    def fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        q = pts.copy()
-        q[..., 1:] -= y0
-        return poly.eval_float(q)
-
-    return fn
+# The checks that read boundary samples, and why each is skipped on a shape
+# that has none (corners, or no sphere lattice for its k).
+_BOUNDARY_CHECKS = {
+    "boundary_gradient_mean": "boundary sampling unsupported for this shape",
+    "serrin_constancy": "boundary sampling unsupported for this shape",
+    "flux_identity": "boundary sampling unsupported for this shape",
+    "pohozaev": "boundary sampling unsupported for this shape",
+    "p_integral": "boundary sampling unsupported for this shape",
+    "p_constancy": "needs the boundary gradient scale",
+}
 
 
 def _manufactured_gradient_error(domain, grid, params, solver_tol, max_iter):
@@ -368,23 +350,22 @@ def _manufactured_gradient_error(domain, grid, params, solver_tol, max_iter):
 
     weights = BesselWeights.weinstein(params)
     rhs_poly = bessel_sum_apply(v, weights)
-    y0 = domain.y_center
     system = assemble_torsion_system(
         domain, grid, params,
-        rhs=_shifted_poly_callable(rhs_poly, y0),
-        dirichlet=_shifted_poly_callable(v, y0),
+        rhs=lambda pts: rhs_poly.eval_float(domain.offset(pts)),
+        dirichlet=lambda pts: v.eval_float(domain.offset(pts)),
     )
     v_h, _ = solve(system, tol=solver_tol, max_iter=max_iter)
     geo = v_h.geometry
-    pts = grid.node_points()
-    exact = _shifted_poly_callable(v, y0)(pts)
+    q = domain.offset(grid.node_points())
+    exact = v.eval_float(q)
     err = float(np.max(np.abs(v_h.values[geo.inside] - exact[geo.inside])))
 
     grads_h = gradient_fields(v_h)
     mask = deep_mask(geo)
     gerr = 0.0
     for axis in range(k + 1):
-        g_exact = _shifted_poly_callable(v.diff(axis), y0)(pts)
+        g_exact = v.diff(axis).eval_float(q)
         gerr = max(gerr, float(np.max(np.abs(grads_h[axis].values[mask]
                                              - g_exact[mask]))))
     return err, gerr
@@ -457,14 +438,15 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
 
     grid = StaggeredGrid.from_domain(domain, h)
     system = assemble_torsion_system(domain, grid, params)
+    failure = None
     try:
         u, solve_report = solve(system, tol=solver_tol, max_iter=max_iter)
     except (NoConvergence, BreakdownDetected) as exc:
         if exc.best is None:
             raise
-        u, solve_report = exc.best, exc.report
+        u, solve_report, failure = exc.best, exc.report, str(exc)
 
-    is_ball = isinstance(domain, Ball)
+    exact = domain.exact_torsion(params)
     results: list = []
     extras: dict = {}
     finite = bool(np.all(np.isfinite(u.active_values())))
@@ -479,15 +461,13 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     def skipped(name, why):
         results.append(CheckResult(name, math.nan, None, None, f"skipped: {why}"))
 
-    # shared surface data (smooth shapes only)
+    # shared surface data (smooth shapes with a sphere lattice only)
     stats = None
-    if any(n in names for n in ("boundary_gradient_mean", "serrin_constancy",
-                                "p_integral", "p_constancy", "flux_identity",
-                                "pohozaev")):
+    if any(n in _BOUNDARY_CHECKS for n in names):
         try:
             stats = boundary_gradient_stats(u, params)
-        except UnsupportedShape:
-            stats = None
+        except UnsupportedShape:  # corners, or a ball with k > 3
+            pass
 
     mms_err = mms_gerr = None
     if "p_constancy" in names and stats is not None:
@@ -500,30 +480,26 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             mms_err = mms_gerr = None
 
     for name in names:
+        if name in _BOUNDARY_CHECKS and stats is None:
+            skipped(name, _BOUNDARY_CHECKS[name])
+            continue
         if name == "explicit_solution":
-            if not is_ball:
+            if exact is None:
                 results.append(CheckResult(name, math.nan, None, None,
                                            "defined for balls only"))
                 continue
             geo = u.geometry
-            exact = _ball_profile(domain, params)(grid.node_points())
-            value = float(np.max(np.abs(u.values[geo.inside] - exact[geo.inside])))
+            u_exact = exact[0](grid.node_points())
+            value = float(np.max(np.abs(u.values[geo.inside] - u_exact[geo.inside])))
             judge(name, value, 5e-3)
         elif name == "boundary_gradient_mean":
-            if stats is None:
-                skipped(name, "boundary sampling unsupported for this shape")
-                continue
-            if is_ball:
-                target = domain.radius / params.dim_eff
-                value = abs(stats.mean - target) / target
-                judge(name, value, 0.02)
-            else:
+            if exact is None:
                 results.append(CheckResult(name, stats.mean, None, None,
                                            "mean |du/dn| (no closed form)"))
-        elif name == "serrin_constancy":
-            if stats is None:
-                skipped(name, "boundary sampling unsupported for this shape")
                 continue
+            slope = exact[1]
+            judge(name, abs(stats.mean - slope) / slope, 0.02)
+        elif name == "serrin_constancy":
             judge(name, stats.cv, 1e-2)
         elif name == "dirichlet_energy":
             pair = dirichlet_energy_residual(u, params)
@@ -531,31 +507,18 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             extras["weighted_mass"] = pair.rhs
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "flux_identity":
-            try:
-                pair = flux_identity_residual(domain, params, grid)
-            except UnsupportedShape:
-                skipped(name, "boundary sampling unsupported for this shape")
-                continue
+            pair = flux_identity_residual(domain, params, grid)
             extras["weighted_volume"] = pair.lhs / params.dim_eff
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "pohozaev":
-            if stats is None:
-                skipped(name, "boundary sampling unsupported for this shape")
-                continue
             pair = pohozaev_residual(u, params)
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "p_integral":
-            if stats is None:
-                skipped(name, "boundary sampling unsupported for this shape")
-                continue
             pair = p_integral_residual(u, params, c=stats.mean)
             extras["p_integral_lhs"] = pair.lhs
             extras["p_integral_rhs"] = pair.rhs
             judge(name, pair.residual, 1e-3 * max(1.0, (64.0 * h) ** 2))
         elif name == "p_constancy":
-            if stats is None:
-                skipped(name, "needs the boundary gradient scale")
-                continue
             if mms_gerr is None:
                 skipped(name, "tolerance calibration solve failed")
                 continue
@@ -615,7 +578,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
                 extras["sigma0_flux"] = math.nan
         extras["center_value"] = float(u.interpolate((0.0, *domain.y_center)))
 
-    report = ExperimentReport(
+    return ExperimentReport(
         domain=domain.descriptor(),
         params={"a": params.a, "k": params.k, "dim_eff": params.dim_eff},
         grid={"h": h, "h_r": grid.h_r, "h_y": grid.h_y,
@@ -624,5 +587,5 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         checks=results,
         extras=extras,
         u=u,
+        failure=failure,
     )
-    return report

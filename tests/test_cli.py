@@ -129,7 +129,7 @@ def test_solver_budget_exhaustion_exits_three_but_keeps_artifacts(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["verify", "sweep"])
-def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, command):
+def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, command):
     # Jacobi-BiCGStab overflows to NaN on this system; no check may run on it
     cfg = {
         "params": {"a": 20.0, "k": 1},
@@ -152,6 +152,27 @@ def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, command):
     for c in report["checks"]:
         assert (c["status"], c["detail"]) == ("skip", "skipped: solver did not converge")
     assert report["extras"] == {}
+    # the cause is named on stderr
+    iterations = report["solver"]["iterations"]
+    assert (f"solver failure: bicgstab stopped at relative residual nan after "
+            f"{iterations} iterations (target 1.0e-10)\n") in capsys.readouterr().err
+
+
+def test_ball_beyond_the_sphere_lattices_skips_the_boundary_checks(tmp_path):
+    # boundary samples exist for k <= 3 only; a k = 4 ball is still smooth
+    cfg = {
+        "params": {"a": 1.0, "k": 4},
+        "domain": {"type": "ball", "radius": 1.0, "center": [0.0] * 4},
+        "grid": {"h": 0.25},
+        "checks": ["serrin_constancy", "flux_identity", "positivity"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert _run(["verify", "--config", _write(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    status = {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
+    skip = ("skip", "skipped: boundary sampling unsupported for this shape")
+    assert status["serrin_constancy"] == status["flux_identity"] == skip
+    assert status["positivity"][0] == "pass"
 
 
 def test_solve_subcommand_writes_field_without_checks(tmp_path):

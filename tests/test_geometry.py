@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from weinstein.errors import EmptyDomain, UnsupportedShape
+from weinstein.params import WeinsteinParams
 from weinstein.geometry import (
     NEWTON_MAX_ITER,
     Ball,
@@ -160,6 +161,28 @@ def test_box_signed_distance_exact_corner():
     assert box.signed_distance(np.array([-1.5, 0.0])) == pytest.approx(0.5)
 
 
+def test_offset_keeps_r_signed():
+    box = Box(half_widths=(1.0, 1.0, 2.0), center=(0.3, -0.5))
+    q = box.offset(np.array([[-0.25, 1.0, 0.0], [0.5, 0.3, -0.5]]))
+    assert q.tolist() == [[-0.25, 0.7, 0.5], [0.5, 0.0, 0.0]]
+
+
+def test_only_the_ball_has_a_closed_form_torsion():
+    params = WeinsteinParams(a=1.5, k=2)
+    ball = Ball(radius=1.5, center=(0.2, -0.1))
+    u, slope = ball.exact_torsion(params)
+    assert slope == 1.5 / params.dim_eff
+    # zero on the sphere, with |du/dn| = slope there
+    omega, _ = sphere_lattice(2, 50)
+    surface = np.array([0.0, 0.2, -0.1]) + 1.5 * omega
+    assert np.max(np.abs(u(surface))) < 1e-15
+    eps = 1e-6
+    du_dn = (u(surface - eps * omega) - u(surface + eps * omega)) / (2 * eps)
+    assert np.allclose(du_dn, slope, rtol=1e-8)
+    assert Ellipsoid((1.0, 2.0, 1.0), center=(0.0, 0.0)).exact_torsion(params) is None
+    assert Box((1.0, 2.0, 1.0), center=(0.0, 0.0)).exact_torsion(params) is None
+
+
 def test_ball_requires_positive_radius():
     with pytest.raises(Exception):
         Ball(radius=-1.0, center=(0.0,))
@@ -187,12 +210,13 @@ def test_cut_fraction_solves_boundary_crossing():
     dom = Ball(radius=1.0, center=(0.0,))
     grid = StaggeredGrid.from_domain(dom, 1 / 16)
     geo = grid_geometry(dom, grid)
+    pts = grid.node_points()
     checked = 0
     for (axis, direction), theta in geo.cut_theta.items():
         idx = np.argwhere(np.isfinite(theta) & (theta > 0) & (theta < 1))
         for index in idx[:5]:
             t = theta[tuple(index)]
-            p = grid.node_point(tuple(index)).copy()
+            p = pts[tuple(index)].copy()
             p[axis] += direction * t * (grid.h_r if axis == 0 else grid.h_y)
             assert abs(dom.signed_distance(p)) < 1e-8
             checked += 1

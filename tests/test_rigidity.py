@@ -8,11 +8,17 @@ check battery.  Reference values for the unit ball at a = 1, k = 1:
     P-integral: both sides 2/27
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weinstein import (
     CHECK_NAMES,
@@ -33,6 +39,7 @@ from weinstein import (
     serrin_defect,
     solve,
 )
+from weinstein.cli import main
 
 
 PARAMS = WeinsteinParams(a=1.0, k=1)
@@ -245,3 +252,40 @@ def test_k2_ball_battery_passes():
 def test_run_experiment_rejects_dimension_mismatch():
     with pytest.raises(ConfigError, match="axial coordinates"):
         run_experiment(Ball(1.0), WeinsteinParams(a=1.0, k=2), h=1.0 / 16)
+
+
+@st.composite
+def _balls(draw):
+    """(ball, h) with at least 4 cells per radius; k = 2 grids grow as
+    cells^3, so they stay coarser."""
+    k = draw(st.sampled_from([1, 2]))
+    radius = draw(st.floats(0.5, 2.0))
+    center = tuple(draw(st.floats(-0.5, 0.5)) for _ in range(k))
+    cells = draw(st.floats(4.0, 32.0 if k == 1 else 12.0))
+    return Ball(radius, center=center), radius / cells
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(a=st.floats(0.0, 30.0), ball_h=_balls())
+@example(a=20.0, ball_h=(Ball(1.0, center=(0.0,)), 1 / 32))  # BiCGStab overflows
+def test_ball_runs_reproduce_the_profile_or_name_the_solver_failure(a, ball_h):
+    # the scheme is exact on quadratics, so a converged solve is the profile
+    # to the solver floor; a failed one exits 3 and says why
+    ball, h = ball_h
+    params = WeinsteinParams(a=a, k=ball.k)
+    report = run_experiment(ball, params, h, checks=[])
+    if report.solver.converged:
+        u, inside = report.u, report.u.geometry.inside
+        u_exact, _ = ball.exact_torsion(params)
+        assert np.max(np.abs(u.values[inside] - u_exact(u.grid.node_points()[inside]))) <= 1e-6
+        return
+    assert report.failure
+    cfg = {"params": {"a": a, "k": ball.k},
+           "domain": {"type": "ball", "radius": ball.radius, "center": list(ball.center)},
+           "grid": {"h": h}}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, output_dir=str(Path(tmp) / "out"))))
+        assert main(["solve", "--config", str(path)]) == 3
+    assert f"solver failure: {report.failure}\n" in err.getvalue()

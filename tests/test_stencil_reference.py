@@ -7,6 +7,8 @@ the matrix arrays, the boundary couplings in their summation order, the
 right-hand side, and the bytes of the file.  `_reference_derivatives` is
 the numerator/denominator form the derivative stencils used before they
 read `three_point_weights`; the two agree up to rounding.
+`_reference_donors` is the per-node loop that picked the donor of each
+covered cell whose centre is outside; the array code must pick the same.
 """
 
 import dataclasses
@@ -257,3 +259,39 @@ def test_block_csv_writer_matches_the_row_loop_bytes(tmp_path, domain, h, blocks
     field_to_csv(field, tmp_path / "block.csv")
     _reference_csv(field, tmp_path / "loop.csv")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def _reference_donors(geo):
+    """donor_flat built node by node: the first inside neighbour against
+    the normal, trying the axes by decreasing |n|."""
+    grid, inside = geo.grid, geo.inside
+    dim = grid.k + 1
+    covered_out = (geo.volfrac > 0) & ~inside
+    donor = np.full(grid.shape, -1, dtype=np.int64)
+    idx = np.argwhere(covered_out)
+    normals = geo.domain.sd_gradient(grid.node_points()[covered_out])
+    flat_strides = np.array(
+        [int(np.prod(grid.shape[d + 1:], dtype=np.int64)) for d in range(dim)])
+    for row, n_vec in zip(idx, normals):
+        found = -1
+        for d in np.argsort(-np.abs(n_vec)):
+            nb = row.copy()
+            nb[d] += -1 if n_vec[d] > 0 else 1
+            if 0 <= nb[d] < grid.shape[d] and inside[tuple(nb)]:
+                found = int(np.dot(nb, flat_strides))
+                break
+        donor[tuple(row)] = found
+    return donor
+
+
+@pytest.mark.parametrize("domain,h", [
+    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1 / 96),
+    (Ball(1.0, center=(0.02, -0.03)), 1 / 20),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 16),
+    (Box(half_widths=(0.51, 0.77), center=(0.1,)), 1 / 32),
+])
+def test_donors_match_the_per_node_loop(domain, h):
+    geo = grid_geometry(domain, StaggeredGrid.from_domain(domain, h))
+    want = _reference_donors(geo)
+    assert (want >= 0).any()
+    assert _bitwise_equal(geo.donor_flat, want)
