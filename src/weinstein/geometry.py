@@ -494,13 +494,14 @@ class GridGeometry:
 
         # each covered cell whose center is outside reads from the first
         # inside neighbor against its normal, axes taken by decreasing |n|
+        # (a tie goes to the lowest axis, on every CPU)
         covered_out = (frac > 0) & ~self.inside
         donor = np.full(grid.shape, -1, dtype=np.int64)
         if covered_out.any():
             idx = np.argwhere(covered_out)
             flat = np.flatnonzero(covered_out)
             normals = domain.sd_gradient(pts[covered_out])
-            order = np.argsort(-np.abs(normals), axis=-1)
+            order = np.argsort(-np.abs(normals), axis=-1, kind="stable")
             strides = np.array([int(np.prod(grid.shape[d + 1:])) for d in range(dim)])
             inside = self.inside.reshape(-1)
             found = np.full(flat.size, -1, dtype=np.int64)
