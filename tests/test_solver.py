@@ -1,14 +1,28 @@
 """Krylov layer tests: one BiCGStab path, determinism, certified residuals,
-and the failure contract (best iterate always attached)."""
+and the failure contract (best iterate always attached).
+
+`_scipy_reference` is the path `solve` used to take through scipy:
+`bicgstab` on -A with the Jacobi preconditioner as a `LinearOperator`
+and the iterations counted by a callback.  The written-out loop must
+reproduce its solutions bit for bit, with the same iteration counts.
+"""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import weinstein
 from weinstein import (
     Ball,
     Box,
+    BreakdownDetected,
+    Ellipsoid,
     NoConvergence,
     SparseSystem,
     StaggeredGrid,
@@ -17,6 +31,9 @@ from weinstein import (
     grid_geometry,
     solve,
 )
+from weinstein import solver as solver_module
+
+_SCIPY_VERSION = tuple(int(p) for p in scipy.__version__.split(".")[:2])
 
 
 def _ball_system(h=1.0 / 16, a=1.0):
@@ -115,3 +132,82 @@ def test_no_convergence_carries_best_iterate_and_report():
     geo = grid_geometry(system.domain, system.grid)
     assert exc.best.values.shape == system.grid.shape
     assert np.all(np.isfinite(exc.best.values[geo.inside]))
+
+
+def _scipy_reference(system, tol=1e-10, max_iter=20000):
+    """(solution, iterations) of scipy's bicgstab on -A, Jacobi-preconditioned."""
+    A_neg = (-system.A).tocsr()
+    d = A_neg.diagonal()
+    d = np.where(np.abs(d) > 0, d, 1.0)
+    M = spla.LinearOperator(A_neg.shape, matvec=lambda x: x / d)
+    count = [0]
+
+    def cb(xk):
+        count[0] += 1
+
+    x, info = spla.bicgstab(A_neg, -system.b, rtol=tol, atol=0.0, maxiter=max_iter,
+                            M=M, callback=cb)
+    assert info == 0
+    return x, count[0]
+
+
+@pytest.mark.skipif(_SCIPY_VERSION < (1, 12),
+                    reason="scipy.sparse.linalg.bicgstab takes rtol only from scipy 1.12")
+@pytest.mark.parametrize("domain,a,h", [
+    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1.0, 1 / 96),
+    (Ball(1.0, center=(0.0, 0.0)), 1.0, 1 / 20),
+    (Box(half_widths=(0.5, 0.75), center=(0.1,)), 1.0, 1 / 32),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1.0, 1 / 10),
+    (Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.0, 0.0)), 1.0, 1 / 12),
+])
+def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, a, h):
+    params = WeinsteinParams(a=a, k=len(domain.center))
+    system = assemble_torsion_system(domain, StaggeredGrid.from_domain(domain, h), params)
+    want, iterations = _scipy_reference(system)
+    u, report = solve(system)
+    got = u.active_values()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert report.iterations == iterations
+
+
+def test_breakdown_raises_after_one_restart(monkeypatch):
+    # skew 2x2 blocks with a zero diagonal: rtilde . v vanishes exactly at once
+    sys0 = _ball_system(h=1.0 / 8)
+    n = sys0.n
+    assert n % 2 == 0
+    block = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    system = SparseSystem(
+        A=sp.block_diag([block] * (n // 2), format="csr"),
+        b=np.ones(n),
+        domain=sys0.domain,
+        grid=sys0.grid,
+        params=sys0.params,
+        dirichlet=0.0,
+    )
+    runs = []
+    loop = solver_module._bicgstab
+
+    def counted(*args):
+        runs.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(solver_module, "_bicgstab", counted)
+    with pytest.raises(BreakdownDetected) as err:
+        solve(system)
+    assert len(runs) == 2
+    exc = err.value
+    assert not exc.report.converged
+    assert np.isfinite(exc.report.final_relative_residual)
+    geo = grid_geometry(system.domain, system.grid)
+    assert np.all(np.isfinite(exc.best.values[geo.inside]))
+
+
+def test_import_leaves_scipy_linear_algebra_unloaded():
+    code = ("import sys, weinstein; print([m for m in sys.modules "
+            "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))])")
+    src = os.path.dirname(os.path.dirname(weinstein.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
