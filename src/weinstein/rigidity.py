@@ -357,7 +357,7 @@ def _manufactured_gradient_error(domain, grid, params, solver_tol, max_iter):
     )
     v_h, _ = solve(system, tol=solver_tol, max_iter=max_iter)
     geo = v_h.geometry
-    q = domain.offset(grid.node_points()[geo.inside])  # the exact values are read only here
+    q = domain.offset(grid.node_points()[geo.inside])  # the errors read no other node
     err = float(np.max(np.abs(v_h.values[geo.inside] - v.eval_float(q))))
 
     grads_h = gradient_fields(v_h)

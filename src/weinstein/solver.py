@@ -90,7 +90,7 @@ def solve(system, tol=1e-10, max_iter=20000):
 
     method = "bicgstab"
     d = A.diagonal()
-    d = np.where(np.abs(d) > 0, d, -1.0)  # a zero entry takes the diagonal's sign
+    d = np.where(np.abs(d) > 0, d, -1.0)  # -1 here is 1 on -A: the run is that of -A u = -b
     x, iterations, broke_down = _bicgstab(A, b, d, np.zeros(n), tol * b_norm, max_iter)
     if broke_down:  # restart once from the current iterate
         x0 = x if np.all(np.isfinite(x)) else np.zeros(n)

@@ -153,15 +153,15 @@ def _scipy_reference(system, tol=1e-10, max_iter=20000):
 
 @pytest.mark.skipif(_SCIPY_VERSION < (1, 12),
                     reason="scipy.sparse.linalg.bicgstab takes rtol only from scipy 1.12")
-@pytest.mark.parametrize("domain,a,h", [
-    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1.0, 1 / 96),
-    (Ball(1.0, center=(0.0, 0.0)), 1.0, 1 / 20),
-    (Box(half_widths=(0.5, 0.75), center=(0.1,)), 1.0, 1 / 32),
-    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1.0, 1 / 10),
-    (Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.0, 0.0)), 1.0, 1 / 12),
+@pytest.mark.parametrize("domain,h", [
+    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1 / 96),
+    (Ball(1.0, center=(0.0, 0.0)), 1 / 20),
+    (Box(half_widths=(0.5, 0.75), center=(0.1,)), 1 / 32),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 10),
+    (Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.0, 0.0)), 1 / 12),
 ])
-def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, a, h):
-    params = WeinsteinParams(a=a, k=len(domain.center))
+def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
+    params = WeinsteinParams(a=1.0, k=len(domain.center))
     system = assemble_torsion_system(domain, StaggeredGrid.from_domain(domain, h), params)
     want, iterations = _scipy_reference(system)
     u, report = solve(system)
@@ -188,7 +188,7 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
     loop = solver_module._bicgstab
 
     def counted(*args):
-        runs.append(args)
+        runs.append(1)
         return loop(*args)
 
     monkeypatch.setattr(solver_module, "_bicgstab", counted)
@@ -205,9 +205,7 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
 def test_import_leaves_scipy_linear_algebra_unloaded():
     code = ("import sys, weinstein; print([m for m in sys.modules "
             "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))])")
-    src = os.path.dirname(os.path.dirname(weinstein.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weinstein.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
