@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    BreakdownDetected,
     ConfigError,
     EmptyDomain,
     GridTooCoarse,
-    NoConvergence,
     UnsupportedShape,
     WeinsteinError,
 )
@@ -96,7 +94,7 @@ class RunConfig:
     sweep_values: Optional[tuple] = None
 
     @classmethod
-    def parse(cls, raw: dict, allow_sweep: bool = True) -> "RunConfig":
+    def parse(cls, raw: dict) -> "RunConfig":
         _require_keys(raw, _TOP_KEYS, "config")
         for key in ("params", "domain", "grid"):
             if key not in raw:
@@ -152,8 +150,6 @@ class RunConfig:
 
         sweep_path = sweep_values = None
         if "sweep" in raw:
-            if not allow_sweep:
-                raise ConfigError("nested sweep blocks are not allowed")
             sweep = raw["sweep"]
             _require_keys(sweep, {"path", "values"}, "sweep")
             sweep_path = sweep.get("path")
@@ -268,8 +264,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-_SUMMARY_COLUMNS = ("serrin_defect", "p_constancy_deviation",
-                    "p_integral_residual", "min_interior")
+# sweep_summary.csv columns, in order, and the check each one reads
 _SUMMARY_SOURCE = {"serrin_defect": "serrin_constancy",
                    "p_constancy_deviation": "p_constancy",
                    "p_integral_residual": "p_integral",
@@ -288,7 +283,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raw = cfg.to_dict()
         raw.pop("sweep", None)
         _set_sweep_value(raw, cfg.sweep_path, value)
-        run_cfg = RunConfig.parse(raw, allow_sweep=False)
+        run_cfg = RunConfig.parse(raw)
         run_dir = os.path.join(cfg.output_dir, f"run_{i:03d}")
         run_cfg = dataclasses.replace(run_cfg, output_dir=run_dir)
         log.info("sweep %s = %s", cfg.sweep_path, value)
@@ -296,8 +291,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         _write_outputs(report, run_cfg, run_dir)
         by_name = {c.name: c for c in report.checks}
         row = [f"{value:.12g}"]
-        for col in _SUMMARY_COLUMNS:
-            c = by_name.get(_SUMMARY_SOURCE[col])
+        for check in _SUMMARY_SOURCE.values():
+            c = by_name.get(check)
             row.append("" if c is None or math.isnan(c.value)
                        else f"{c.value:.12e}")
         row.append("true" if report.solver.converged else "false")
@@ -307,7 +302,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             worst = max(worst, 3)
         elif not report.passed:
             worst = max(worst, 1)
-    header = "value," + ",".join(_SUMMARY_COLUMNS) + ",converged,passed"
+    header = "value," + ",".join(_SUMMARY_SOURCE) + ",converged,passed"
     with open(os.path.join(cfg.output_dir, "sweep_summary.csv"), "w") as fh:
         fh.write(header + "\n" + "\n".join(rows) + "\n")
     return worst
@@ -332,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--log-level", choices=("info", "debug"),
-                       default="info")
     return parser
 
 
@@ -342,7 +335,7 @@ _COMMANDS = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep}
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()),
+    logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         with open(args.config) as fh:
@@ -361,9 +354,6 @@ def main(argv=None) -> int:
     except (ConfigError, GridTooCoarse, EmptyDomain, UnsupportedShape) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, BreakdownDetected) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
     except WeinsteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -79,12 +79,9 @@ def gradient_fields(field):
     return outs
 
 
-def deep_mask(field_or_geo):
-    """Nodes whose full 3^d neighborhood (r-mirror allowed) is inside."""
-    if isinstance(field_or_geo, ScalarField):
-        geo = grid_geometry(field_or_geo.domain, field_or_geo.grid)
-    else:
-        geo = field_or_geo
+def deep_mask(geo):
+    """Nodes of a GridGeometry whose full 3^d neighborhood (r-mirror
+    allowed) is inside."""
     mask = geo.inside
     for axis in range(mask.ndim):
         for direction in (1, -1):

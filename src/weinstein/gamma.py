@@ -16,8 +16,9 @@ curvature-dimension bound
 
 with equality exactly on u = gamma + alpha sum_i (x_i^2 + beta_i x_i),
 beta_i = 0 whenever a_i > 0.  On polynomials with rational coefficients
-everything here is exact; the grid mode mirrors the same quantities with
-finite differences for solver output.
+everything here is exact; the grid mode computes Gamma, Gamma2, the
+P-function and L_a P with finite differences for solver output.  The
+defect itself (`cd_defect`) is exact only.
 """
 
 from __future__ import annotations
@@ -73,14 +74,9 @@ class BesselWeights:
         return Fraction(self.n) + sum(self.weights, Fraction(0))
 
 
-def _coerce_weights(weights, nvars=None):
-    if isinstance(weights, WeinsteinParams):
-        weights = BesselWeights.weinstein(weights)
-    if not isinstance(weights, BesselWeights):
-        weights = BesselWeights(tuple(weights))
-    if nvars is not None and weights.n != nvars:
+def _check_weights(weights: BesselWeights, nvars):
+    if weights.n != nvars:
         raise ValueError(f"need {nvars} weights, got {weights.n}")
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ def _exact_parts(u: PolyField, weights: BesselWeights):
 
 def bessel_sum_apply(u: PolyField, weights) -> PolyField:
     """B u = sum_i (d_ii u + a_i q_i) as an exact polynomial."""
-    weights = _coerce_weights(weights, u.nvars)
+    _check_weights(weights, u.nvars)
     _, d2, q = _exact_parts(u, weights)
     out = PolyField.zero(u.nvars)
     for i, a_i in enumerate(weights.weights):
@@ -131,7 +127,7 @@ def _gamma_poly(u, weights):
 
 
 def _gamma2_poly(u, weights):
-    weights = _coerce_weights(weights, u.nvars)
+    _check_weights(weights, u.nvars)
     _, d2, q = _exact_parts(u, weights)
     out = PolyField.zero(u.nvars)
     for (i, j), dij in d2.items():
@@ -143,16 +139,19 @@ def _gamma2_poly(u, weights):
     return out
 
 
-def _cd_defect_poly(u, weights):
-    weights = _coerce_weights(weights, u.nvars)
+def cd_defect(u: PolyField, weights: BesselWeights) -> PolyField:
+    """Gamma2(u) - (B u)^2 / N with N the effective dimension n + sum a_i.
+
+    Nonnegative pointwise (for r > 0) by the curvature-dimension bound;
+    vanishing identically exactly on the equality family."""
     g2 = _gamma2_poly(u, weights)
     bu = bessel_sum_apply(u, weights)
-    return g2 - (bu * bu) * Fraction(1, 1) * (Fraction(1) / weights.effective_dimension)
+    return g2 - (bu * bu) * (Fraction(1) / weights.effective_dimension)
 
 
 def cd_defect_values(u: PolyField, weights, points):
     """Exact rational Gamma2 - (B u)^2 / N at each point."""
-    defect = _cd_defect_poly(u, weights)
+    defect = cd_defect(u, weights)
     return [defect.eval_exact(pt) for pt in points]
 
 
@@ -174,7 +173,7 @@ def _grid_gamma2(u: ScalarField, params: WeinsteinParams):
     """Hessian-square plus the axis term, valid on the deep-node mask."""
     grid = u.grid
     dim = grid.k + 1
-    mask = deep_mask(u)
+    mask = deep_mask(u.geometry)
     vals = np.zeros(grid.shape)
     for axis in range(dim):
         vals = vals + axis_second_derivative(u, axis) ** 2
@@ -205,24 +204,6 @@ def gamma2(u, weights):
     if not isinstance(weights, WeinsteinParams):
         raise ValueError("grid mode takes WeinsteinParams")
     return _grid_gamma2(u, weights)
-
-
-def cd_defect(u, weights):
-    """Gamma2(u) - (B u)^2 / N with N the effective dimension n + sum a_i.
-
-    Nonnegative pointwise (for r > 0) by the curvature-dimension bound;
-    vanishing identically exactly on the equality family."""
-    if isinstance(u, PolyField):
-        return _cd_defect_poly(u, weights)
-    if not isinstance(weights, WeinsteinParams):
-        raise ValueError("grid mode takes WeinsteinParams")
-    params = weights
-    g2 = _grid_gamma2(u, params)
-    mask = ~np.isnan(g2.values)
-    lu = apply_operator(u, params, rows_mask=mask)
-    vals = g2.values - lu.values**2 / params.dim_eff
-    return ScalarField(grid=u.grid, domain=u.domain, values=vals,
-                       boundary_values=None, parity="even")
 
 
 # ---------------------------------------------------------------------------

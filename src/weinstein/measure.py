@@ -111,7 +111,6 @@ def weighted_volume_integral(field, params, domain=None, grid=None, coarse_field
             donor = geo.donor_flat[ext]
             flat = field.values.reshape(-1)
             fill = np.where(donor >= 0, flat[np.maximum(donor, 0)], 0.0)
-            fill = np.where(donor >= 0, fill, 0.0)
             vals[ext] = fill
         vals = np.where(covered, vals, 0.0)
     elif callable(field):

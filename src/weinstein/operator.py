@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .differential import gradient_fields
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
 from .field import ScalarField
 from .geometry import R_AXIS, boundary_samples, grid_geometry, three_point_weights
@@ -143,10 +144,6 @@ class _Stencil:
         A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n_active, n_active)).tocsr()
 
-        self.domain = domain
-        self.grid = grid
-        self.params = params
-        self.geometry = geo
         self.A = A
         self.row_of = row_of
         self.flat_active = flat_active
@@ -232,8 +229,9 @@ class SparseSystem:
 
 def assemble_torsion_system(domain, grid, params, rhs=-1.0, dirichlet=0.0) -> SparseSystem:
     """Assemble A u = b for L_a u = rhs with Dirichlet data on the cut
-    points.  A approximates L_a itself (diagonal strictly negative), so the
-    torsion problem is rhs = -1 with dirichlet = 0."""
+    points; rhs and dirichlet are each a constant or a callable on points.
+    A approximates L_a itself (diagonal strictly negative), so the torsion
+    problem is rhs = -1 with dirichlet = 0."""
     min_axis = min(domain.r_extent, *domain.y_halfwidth)
     if min_axis / grid.h_r < 4.0 - 1e-12:
         raise GridTooCoarse(
@@ -243,8 +241,6 @@ def assemble_torsion_system(domain, grid, params, rhs=-1.0, dirichlet=0.0) -> Sp
     if callable(rhs):
         pts = grid.node_points().reshape(-1, grid.k + 1)[st.flat_active]
         rhs_vec = np.asarray(rhs(pts), dtype=float)
-    elif isinstance(rhs, ScalarField):
-        rhs_vec = rhs.values.reshape(-1)[st.flat_active]
     else:
         rhs_vec = np.full(st.n_active, float(rhs))
     b = rhs_vec - st.bc_vector(dirichlet)
@@ -267,8 +263,6 @@ def boundary_normal_gradient(field, samples=None, count=20000, depth=None):
     Exact for affine gradients, so the quadratic ball profile is probed
     to solver accuracy.
     """
-    from .differential import gradient_fields
-
     domain = field.domain
     if not domain.smooth_boundary:
         raise UnsupportedShape("normal gradient sampling needs a smooth boundary")

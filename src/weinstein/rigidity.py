@@ -26,11 +26,12 @@ from .errors import (
     ConfigError,
     GridTooCoarse,
     NoConvergence,
+    SphereOutsideDomain,
     UnsupportedShape,
 )
 from .field import ScalarField
-from .gamma import BesselWeights, cd_defect_values, p_function
-from .geometry import boundary_samples
+from .gamma import BesselWeights, bessel_sum_apply, cd_defect_values, gamma, p_function
+from .geometry import StaggeredGrid, boundary_samples
 from .measure import spherical_mean, weighted_volume_integral
 from .operator import (
     assemble_torsion_system,
@@ -67,9 +68,7 @@ def _weighted_samples(domain, params, count):
 
 def dirichlet_energy_residual(u: ScalarField, params: WeinsteinParams) -> IdentityPair:
     """integral |grad u|^2 r^a dx  vs  integral u r^a dx (torsion data)."""
-    from .gamma import gamma as _gamma
-
-    lhs = weighted_volume_integral(_gamma(u), params, grid=u.grid, domain=u.domain)
+    lhs = weighted_volume_integral(gamma(u), params, grid=u.grid, domain=u.domain)
     rhs = weighted_volume_integral(u, params)
     return IdentityPair(lhs.value, rhs.value)
 
@@ -97,16 +96,12 @@ def pohozaev_residual(u: ScalarField, params: WeinsteinParams,
     -1/2 int_bdry (du/dn)^2 <Z, nu> r^a dsigma
         = (a-1+k)/2 int |grad u|^2 r^a - (a+1+k) int u r^a.
     """
-    from .gamma import gamma as _gamma
-
     s, w = _weighted_samples(u.domain, params, count)
     un = boundary_normal_gradient(u, samples=s)
     zn = np.sum(u.domain.offset(s.points) * s.normals, axis=-1)
     lhs = -0.5 * float(np.sum(w * un**2 * zn))
-    energy = weighted_volume_integral(_gamma(u), params, grid=u.grid,
-                                      domain=u.domain).value
-    mass = weighted_volume_integral(u, params).value
-    rhs = 0.5 * (params.a - 1.0 + params.k) * energy - params.dim_eff * mass
+    energy = dirichlet_energy_residual(u, params)  # lhs: energy, rhs: mass
+    rhs = 0.5 * (params.a - 1.0 + params.k) * energy.lhs - params.dim_eff * energy.rhs
     return IdentityPair(lhs, rhs)
 
 
@@ -188,8 +183,6 @@ def maximum_principle_check(u: ScalarField, params: WeinsteinParams,
     center = (0.0, *u.domain.y_center)
     dist = -float(u.domain.signed_distance(np.asarray(center)))
     radii, means = [], []
-    from .errors import SphereOutsideDomain
-
     for f in fractions:
         t = f * dist
         try:
@@ -346,8 +339,6 @@ def _manufactured_gradient_error(domain, grid, params, solver_tol, max_iter):
         rho2 = rho2 + ym * ym
     v = rho2 * rho2 + rho2  # even in r, genuinely quartic
 
-    from .gamma import bessel_sum_apply
-
     weights = BesselWeights.weinstein(params)
     rhs_poly = bessel_sum_apply(v, weights)
     system = assemble_torsion_system(
@@ -382,16 +373,8 @@ def _random_even_poly(rng, nvars, max_degree=4):
         coeff = int(rng.integers(-4, 5))
         if coeff == 0:
             coeff = 1
-        key = exps
-        terms[key] = terms.get(key, 0) + coeff
-    poly = PolyField.zero(nvars)
-    for exps, c in terms.items():
-        mono = PolyField.constant(c, nvars)
-        for i, e in enumerate(exps):
-            if e:
-                mono = mono * PolyField.variable(i, nvars) ** e
-        poly = poly + mono
-    return poly
+        terms[exps] = terms.get(exps, 0) + coeff
+    return PolyField(nvars, terms)
 
 
 def _cd_random_battery(params: WeinsteinParams, seed: int,
@@ -421,8 +404,6 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
                    max_iter: int = 20000, seed: int = 0) -> ExperimentReport:
     """Solve the torsion problem on `domain` at resolution h and run the
     selected verification checks (all of them by default)."""
-    from .geometry import StaggeredGrid
-
     if checks is None:
         names = list(CHECK_NAMES)
     else:
@@ -441,8 +422,6 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     try:
         u, solve_report = solve(system, tol=solver_tol, max_iter=max_iter)
     except (NoConvergence, BreakdownDetected) as exc:
-        if exc.best is None:
-            raise
         u, solve_report, failure = exc.best, exc.report, str(exc)
 
     exact = domain.exact_torsion(params)
@@ -526,9 +505,8 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             mask = deep_mask(geo)
             c = stats.mean
             value = float(np.max(np.abs(P.values[mask] - c * c)))
-            from .gamma import gamma as _gamma
             gmax = float(np.sqrt(np.nanmax(np.maximum(
-                _gamma(u).values[mask], 0.0))))
+                gamma(u).values[mask], 0.0))))
             # tolerance calibrated from the same-grid manufactured solve:
             # P inherits 2|grad u| x (gradient error) + 2/(N) x (value error)
             tol = 10.0 * (2.0 * gmax * mms_gerr + 2.0 * mms_err / params.dim_eff)

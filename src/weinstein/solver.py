@@ -96,16 +96,9 @@ def solve(system, tol=1e-10, max_iter=20000):
         x0 = x if np.all(np.isfinite(x)) else np.zeros(n)
         x, more, broke_down = _bicgstab(A, b, d, x0, tol * b_norm, max_iter)
         iterations += more
-        if broke_down:
-            res = float(np.linalg.norm(A @ x - b) / b_norm) if np.all(np.isfinite(x)) else np.inf
-            report = SolveReport(method, iterations, res, False,
-                                 time.perf_counter() - start, n)
-            raise BreakdownDetected(
-                "BiCGStab broke down twice", best=system.field_from_vector(x), report=report
-            )
 
     residual = float(np.linalg.norm(A @ x - b) / b_norm)  # certified on the original system
-    converged = residual <= 10.0 * tol
+    converged = residual <= 10.0 * tol and not broke_down
     report = SolveReport(
         method=method,
         iterations=iterations,
@@ -115,6 +108,8 @@ def solve(system, tol=1e-10, max_iter=20000):
         n_unknowns=n,
     )
     fld = system.field_from_vector(x)
+    if broke_down:
+        raise BreakdownDetected("BiCGStab broke down twice", best=fld, report=report)
     if not converged:
         raise NoConvergence(
             f"{method} stopped at relative residual {residual:.3e} "
