@@ -127,7 +127,6 @@ def test_solver_budget_exhaustion_exits_three_but_keeps_artifacts(tmp_path):
     assert (tmp_path / "out" / "u.csv").is_file()  # best iterate, inspectable
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, command):
     # Jacobi-BiCGStab overflows to NaN on this system; no check may run on it
@@ -173,6 +172,28 @@ def test_ball_beyond_the_sphere_lattices_skips_the_boundary_checks(tmp_path):
     skip = ("skip", "skipped: boundary sampling unsupported for this shape")
     assert status["serrin_constancy"] == status["flux_identity"] == skip
     assert status["positivity"][0] == "pass"
+
+
+def test_ball_beyond_the_sphere_lattices_runs_the_default_battery(tmp_path):
+    # with no sphere lattice for k = 4 the mean ladder skips as well
+    cfg = {
+        "params": {"a": 1.0, "k": 4},
+        "domain": {"type": "ball", "radius": 1.0, "center": [0.0] * 4},
+        "grid": {"h": 0.25},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert _run(["verify", "--config", _write(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    status = {c["name"]: (c["status"], c["detail"]) for c in report["checks"]}
+    assert list(status) == list(CHECK_NAMES)
+    assert status["mean_monotonicity"] == ("skip", "skipped: no sphere lattice for k > 3")
+    for name in ("explicit_solution", "dirichlet_energy", "positivity",
+                 "axis_regularity", "cd_positivity"):
+        assert status[name][0] == "pass", name
+    for name in ("boundary_gradient_mean", "serrin_constancy", "flux_identity",
+                 "pohozaev", "p_integral", "p_constancy"):
+        assert status[name][0] == "skip", name
+    assert report["passed"] is True
 
 
 def test_solve_subcommand_writes_field_without_checks(tmp_path):

@@ -26,6 +26,8 @@ from weinstein import (
     Box,
     ConfigError,
     Ellipsoid,
+    NoConvergence,
+    ScalarField,
     StaggeredGrid,
     WeinsteinParams,
     assemble_torsion_system,
@@ -148,6 +150,25 @@ def test_mean_ladder_on_box_is_still_decreasing():
     assert ladder.classification in ("strictly_decreasing", "nonincreasing")
 
 
+def _sampled(fn, h=1.0 / 32):
+    ball = Ball(1.0)
+    return ScalarField.from_function(ball, StaggeredGrid.from_domain(ball, h), fn)
+
+
+def test_mean_ladder_of_a_constant_is_constant():
+    ladder = maximum_principle_check(_sampled(lambda p: np.full(p.shape[:-1], 2.0)), PARAMS)
+    assert ladder.classification == "constant"
+    assert ladder.means == pytest.approx([2.0] * len(ladder.radii))
+
+
+def test_mean_ladder_of_a_subharmonic_field_is_violated():
+    # L_a rho^2 = 2 (a + 1 + k) > 0, and the means of rho^2 are t^2
+    ladder = maximum_principle_check(_sampled(lambda p: np.sum(p**2, axis=-1)), PARAMS)
+    assert ladder.classification == "violated"
+    assert ladder.max_increase > 0.0
+    assert ladder.means == pytest.approx([t * t for t in ladder.radii], abs=1e-3)
+
+
 # -- orchestration ------------------------------------------------------------------
 
 
@@ -202,6 +223,20 @@ def test_run_experiment_check_subset_and_unknown_name():
     assert report.checks[0].value == ladder.min_interior == np.min(report.u.active_values())
     with pytest.raises(ConfigError):
         run_experiment(Ball(1.0), PARAMS, h=1.0 / 16, checks=["no_such_check"])
+
+
+def test_failed_calibration_solve_skips_p_constancy(monkeypatch):
+    def no_convergence(*args):
+        raise NoConvergence("calibration solve stopped")
+
+    monkeypatch.setattr("weinstein.rigidity._manufactured_gradient_error", no_convergence)
+    report = run_experiment(Ball(1.0), PARAMS, h=1.0 / 16,
+                            checks=["p_constancy", "serrin_constancy"])
+    status = {c.name: (c.status, c.detail) for c in report.checks}
+    assert status["p_constancy"] == ("skip", "skipped: tolerance calibration solve failed")
+    assert status["serrin_constancy"][0] == "pass"
+    assert not any(key.startswith("mms_") for key in report.extras)
+    assert report.passed
 
 
 def test_report_serialization_round_trip():
@@ -265,7 +300,6 @@ def _balls(draw):
     return Ball(radius, center=center), radius / cells
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(a=st.floats(0.0, 30.0), ball_h=_balls())
 @example(a=20.0, ball_h=(Ball(1.0, center=(0.0,)), 1 / 32))  # BiCGStab overflows
