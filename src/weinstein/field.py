@@ -10,7 +10,7 @@ the axial symmetry of the problem dictates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 

@@ -118,7 +118,7 @@ def bessel_sum_apply(u: PolyField, weights) -> PolyField:
     return out
 
 
-def _gamma_poly(u, weights):
+def _gamma_poly(u):
     out = PolyField.zero(u.nvars)
     for i in range(u.nvars):
         di = u.diff(i)
@@ -189,10 +189,10 @@ def _grid_gamma2(u: ScalarField, params: WeinsteinParams):
                        boundary_values=None, parity="even")
 
 
-def gamma(u, weights=None):
+def gamma(u):
     """Gamma(u) = |grad u|^2: exact polynomial or nodewise grid field."""
     if isinstance(u, PolyField):
-        return _gamma_poly(u, weights)
+        return _gamma_poly(u)
     return _grid_gamma(u)
 
 

@@ -302,7 +302,7 @@ def _balls(draw):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(a=st.floats(0.0, 30.0), ball_h=_balls())
-@example(a=20.0, ball_h=(Ball(1.0, center=(0.0,)), 1 / 32))  # BiCGStab overflows
+@example(a=20.0, ball_h=(Ball(1.0, center=(0.0,)), 1 / 32))  # overflowed under Jacobi
 def test_ball_runs_reproduce_the_profile_or_name_the_solver_failure(a, ball_h):
     # the scheme is exact on quadratics, so a converged solve is the profile
     # to the solver floor; a failed one exits 3 and says why

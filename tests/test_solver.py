@@ -4,7 +4,8 @@ and the failure contract (best iterate always attached).
 `_scipy_reference` is the path `solve` used to take through scipy:
 `bicgstab` on -A with the Jacobi preconditioner as a `LinearOperator`
 and the iterations counted by a callback.  The written-out loop must
-reproduce its solutions bit for bit, with the same iteration counts.
+reproduce its solutions bit for bit, with the same iteration counts, under
+Jacobi and under the k = 1 V-cycle.
 """
 
 import os
@@ -36,9 +37,9 @@ from weinstein import solver as solver_module
 _SCIPY_VERSION = tuple(int(p) for p in scipy.__version__.split(".")[:2])
 
 
-def _ball_system(h=1.0 / 16, a=1.0):
-    params = WeinsteinParams(a=a, k=1)
-    dom = Ball(1.0)
+def _ball_system(h=1.0 / 16, a=1.0, k=1):
+    params = WeinsteinParams(a=a, k=k)
+    dom = Ball(1.0, center=(0.0,) * k)
     grid = StaggeredGrid.from_domain(dom, h)
     return assemble_torsion_system(dom, grid, params)
 
@@ -61,7 +62,7 @@ def test_symmetric_diagonal_system_solves_by_bicgstab():
     system = _diagonal_system()
     u, report = solve(system, tol=1e-12)
     assert report.method == "bicgstab"
-    assert report.iterations <= 2  # Jacobi preconditioner solves -I exactly
+    assert report.iterations <= 2  # Jacobi and the V-cycle solve -I exactly
     assert report.converged
     assert np.allclose(u.active_values(), -system.b, atol=1e-14)
 
@@ -134,12 +135,16 @@ def test_no_convergence_carries_best_iterate_and_report():
     assert np.all(np.isfinite(exc.best.values[geo.inside]))
 
 
-def _scipy_reference(system, tol=1e-10, max_iter=20000):
-    """(solution, iterations) of scipy's bicgstab on -A, Jacobi-preconditioned."""
+def _scipy_reference(system, precond=None, tol=1e-10, max_iter=20000):
+    """(solution, iterations) of scipy's bicgstab on -A, Jacobi-preconditioned,
+    or preconditioned by v -> precond(-v) given a preconditioner of A."""
     A_neg = (-system.A).tocsr()
-    d = A_neg.diagonal()
-    d = np.where(np.abs(d) > 0, d, 1.0)
-    M = spla.LinearOperator(A_neg.shape, matvec=lambda x: x / d)
+    if precond is None:
+        d = A_neg.diagonal()
+        d = np.where(np.abs(d) > 0, d, 1.0)
+        M = spla.LinearOperator(A_neg.shape, matvec=lambda x: x / d)
+    else:
+        M = spla.LinearOperator(A_neg.shape, matvec=lambda x: precond(-x))
     count = [0]
 
     def cb(xk):
@@ -151,19 +156,45 @@ def _scipy_reference(system, tol=1e-10, max_iter=20000):
     return x, count[0]
 
 
-@pytest.mark.skipif(_SCIPY_VERSION < (1, 12),
-                    reason="scipy.sparse.linalg.bicgstab takes rtol only from scipy 1.12")
-@pytest.mark.parametrize("domain,h", [
+_REFERENCE_CASES = [
     (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1 / 96),
     (Ball(1.0, center=(0.0, 0.0)), 1 / 20),
     (Box(half_widths=(0.5, 0.75), center=(0.1,)), 1 / 32),
     (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 10),
     (Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.0, 0.0)), 1 / 12),
-])
-def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
+]
+_needs_rtol = pytest.mark.skipif(
+    _SCIPY_VERSION < (1, 12),
+    reason="scipy.sparse.linalg.bicgstab takes rtol only from scipy 1.12")
+
+
+def _reference_system(domain, h):
     params = WeinsteinParams(a=1.0, k=len(domain.center))
-    system = assemble_torsion_system(domain, StaggeredGrid.from_domain(domain, h), params)
+    return assemble_torsion_system(domain, StaggeredGrid.from_domain(domain, h), params)
+
+
+@_needs_rtol
+@pytest.mark.parametrize("domain,h", _REFERENCE_CASES)
+def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
+    system = _reference_system(domain, h)
     want, iterations = _scipy_reference(system)
+    got, its, broke_down = solver_module._bicgstab(
+        system.A, system.b, solver_module._jacobi(system.A), np.zeros(system.n),
+        1e-10 * np.linalg.norm(system.b), 20000)
+    assert not broke_down
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert its == iterations
+    if system.grid.k > 1:  # solve keeps Jacobi there
+        u, report = solve(system)
+        assert u.active_values().tobytes() == want.tobytes()
+        assert report.iterations == iterations
+
+
+@_needs_rtol
+@pytest.mark.parametrize("domain,h", [c for c in _REFERENCE_CASES if len(c[0].center) == 1])
+def test_vcycle_loop_reproduces_scipy_bit_for_bit(domain, h):
+    system = _reference_system(domain, h)
+    want, iterations = _scipy_reference(system, solver_module._vcycle(system))
     u, report = solve(system)
     got = u.active_values()
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -172,7 +203,8 @@ def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
 
 def test_breakdown_raises_after_one_restart(monkeypatch):
     # skew 2x2 blocks with a zero diagonal: rtilde . v vanishes exactly at once
-    sys0 = _ball_system(h=1.0 / 8)
+    # under Jacobi, which k = 2 keeps (the k = 1 V-cycle inverts them exactly)
+    sys0 = _ball_system(h=1.0 / 8, k=2)
     n = sys0.n
     assert n % 2 == 0
     block = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -202,8 +234,36 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
     assert np.all(np.isfinite(exc.best.values[geo.inside]))
 
 
+def test_vcycle_solves_the_large_a_ball():
+    # Jacobi-BiCGStab overflows to NaN here
+    system = _ball_system(h=1.0 / 32, a=20.0)
+    u, report = solve(system)
+    assert report.converged
+    u_exact, _ = system.domain.exact_torsion(system.params)
+    inside = u.geometry.inside
+    assert np.max(np.abs(u.values[inside] - u_exact(u.grid.node_points()[inside]))) <= 1e-9
+
+
+def test_vcycle_iterations_barely_grow_with_refinement():
+    dom = Ellipsoid(semi_axes=(1.0, 2.0))
+    its = {}
+    for h in (1 / 48, 1 / 192):
+        system = assemble_torsion_system(dom, StaggeredGrid.from_domain(dom, h),
+                                         WeinsteinParams(a=1.0, k=1))
+        its[h] = solve(system)[1].iterations
+    assert 1 <= its[1 / 192] <= 2 * its[1 / 48]
+    assert its[1 / 192] < 60
+
+
 def test_import_leaves_scipy_linear_algebra_unloaded():
-    code = ("import sys, weinstein; print([m for m in sys.modules "
+    # nor does a k = 1 solve, whose V-cycle needs only numpy and scipy.sparse
+    code = ("import sys, weinstein\n"
+            "dom = weinstein.Ball(1.0, center=(0.0,))\n"
+            "system = weinstein.assemble_torsion_system(\n"
+            "    dom, weinstein.StaggeredGrid.from_domain(dom, 1 / 32),\n"
+            "    weinstein.WeinsteinParams(a=1.0, k=1))\n"
+            "assert weinstein.solve(system)[1].iterations >= 1\n"
+            "print([m for m in sys.modules "
             "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))])")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weinstein.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
