@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MissingBoundaryData
-from .field import ScalarField
+from .field import ScalarField, on_points
 from .geometry import R_AXIS, grid_geometry, shift, three_point_weights
 
 
@@ -34,7 +34,7 @@ def _arm_values(field, geo, axis):
                     f"axis {axis} stencil crosses the boundary but the field "
                     "carries no Dirichlet data"
                 )
-            nb[cut] = field.boundary_value_at(cut_pts)
+            nb[cut] = on_points(field.boundary_values, cut_pts)
         out += [arm, nb]
     return tuple(out)
 

@@ -20,6 +20,14 @@ from .geometry import grid_geometry
 BoundaryData = Union[None, float, Callable]
 
 
+def on_points(data, points):
+    """Values of data (a constant, or a callable on (..., k+1) points) at
+    points, as a float array of shape points.shape[:-1]."""
+    if callable(data):
+        return np.asarray(data(points), dtype=float)
+    return np.full(points.shape[:-1], float(data))
+
+
 @dataclass
 class ScalarField:
     grid: object
@@ -70,15 +78,6 @@ class ScalarField:
 
     def active_values(self):
         return self.values[self.geometry.inside]
-
-    def boundary_value_at(self, points):
-        """Evaluate the attached Dirichlet data at boundary points."""
-        points = np.asarray(points, dtype=float)
-        if self.boundary_values is None:
-            return None
-        if callable(self.boundary_values):
-            return np.asarray(self.boundary_values(points), dtype=float)
-        return np.full(points.shape[:-1], float(self.boundary_values))
 
     # -- interpolation -----------------------------------------------------------
 

@@ -69,7 +69,10 @@ def r_cell_measure(grid, params):
     a = params.a
     h = grid.h_r
     i = np.arange(grid.n_r, dtype=float)
-    return h ** (a + 1.0) * ((i + 1.0) ** (a + 1.0) - i ** (a + 1.0)) / (a + 1.0)
+    # a huge a overflows to inf/NaN without a warning: `solve` names the
+    # non-finite matrix that results
+    with np.errstate(over="ignore", invalid="ignore"):
+        return h ** (a + 1.0) * ((i + 1.0) ** (a + 1.0) - i ** (a + 1.0)) / (a + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,157 +19,198 @@ the cut point.  Both kinds of row are built as arrays, one pass per axis
 from `three_point_weights`, which the derivative stencils in
 `differential` read as well.  Interior rows are symmetric in the
 weighted inner product <u, v> = sum u v V_i h^k; cut rows are not.
+
+`assemble_torsion_system` returns one `SparseSystem`, which owns A and
+the Dirichlet couplings of the cut arms; `SparseSystem.with_data` gives
+the system for other data on the same matrix.  No matrix is cached: one
+lives as long as the systems that hold it (only the grid geometry is
+cached, in `geometry.grid_geometry`).
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
 
 from .differential import gradient_fields
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
-from .field import ScalarField
+from .field import ScalarField, on_points
 from .geometry import R_AXIS, boundary_samples, grid_geometry, three_point_weights
 from .measure import r_cell_measure
 
 
 # ---------------------------------------------------------------------------
-# stencil construction
+# assembly
 # ---------------------------------------------------------------------------
 
 
-class _Stencil:
-    """Matrix + boundary coupling of L_a on the active nodes of a grid.
+@dataclasses.dataclass
+class SparseSystem:
+    """Assembled linear system A u = b on the active nodes (A ~ L_a).
 
-    bc_rows, bc_coeffs and bc_points list the Dirichlet couplings
-    coeff * g(point) of the cut arms, ordered by (node, axis, minus arm
-    before plus arm)."""
+    The system owns the Dirichlet couplings coeff * g(point) of its cut
+    arms: bc_rows, bc_coeffs and bc_points, ordered by (node, axis, minus
+    arm before plus arm), the order bc_vector sums them in.  `with_data`
+    reuses A and the couplings for other data; no matrix is cached."""
 
-    def __init__(self, domain, grid, params):
-        geo = grid_geometry(domain, grid)
-        dim = grid.k + 1
-        shape = grid.shape
-        n_nodes = grid.n_nodes
+    A: sp.csr_matrix
+    b: np.ndarray
+    domain: object
+    grid: object
+    params: object
+    dirichlet: object
+    bc_rows: np.ndarray
+    bc_coeffs: np.ndarray
+    bc_points: np.ndarray
 
-        flat_active = np.flatnonzero(geo.inside.reshape(-1))
-        n_active = flat_active.size
-        row_of = np.full(n_nodes, -1, dtype=np.int64)
-        row_of[flat_active] = np.arange(n_active)
-
-        strides = np.array(
-            [int(np.prod(shape[d + 1 :], dtype=np.int64)) for d in range(dim)], dtype=np.int64
-        )
-
-        h = grid.h_r
-        a = params.a
-        m_r = r_cell_measure(grid, params)
-        face = (np.arange(grid.n_r + 1) * h) ** a
-        c_plus = face[1:] / (h * m_r)
-        c_minus = face[:-1] / (h * m_r)
-        c_minus[0] = 0.0  # zero weighted flux through r = 0 (reflection)
-        hy2 = grid.h_y**2
-
-        rows, cols, vals = [], [], []
-        # interior rows: flux form, vectorized
-        idx = np.argwhere(geo.interior)
-        if idx.size:
-            flat = idx @ strides
-            r_i = idx[:, 0]
-            diag = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
-            rows.append(row_of[flat])
-            cols.append(row_of[flat])
-            vals.append(diag)
-
-            nb = flat + strides[0]
-            rows.append(row_of[flat])
-            cols.append(row_of[nb])
-            vals.append(c_plus[r_i])
-
-            has_minus = r_i > 0
-            nb = flat[has_minus] - strides[0]
-            rows.append(row_of[flat[has_minus]])
-            cols.append(row_of[nb])
-            vals.append(c_minus[r_i[has_minus]])
-
-            for m in range(grid.k):
-                for direction in (1, -1):
-                    nb = flat + direction * strides[1 + m]
-                    rows.append(row_of[flat])
-                    cols.append(row_of[nb])
-                    vals.append(np.full(flat.shape, 1.0 / hy2))
-
-        # near-boundary rows: nondivergence Shortley-Weller, one pass per
-        # (axis, direction).  The diagonal sums c_0 axis by axis, the r = 0
-        # ghost right after axis 0's c_0, and the boundary couplings are
-        # sorted by (node, axis, minus before plus): bc_vector sums them in
-        # that order.
-        near_flat = np.flatnonzero(geo.near.reshape(-1))
-        near_row = row_of[near_flat]
-        near_r = np.unravel_index(near_flat, shape)[R_AXIS]
-        diag = np.zeros(near_flat.size)
-        bc_rows, bc_coeffs, bc_points, bc_keys = [], [], [], []
-        for axis in range(dim):
-            arms = {d: geo.arm(axis, d) for d in (1, -1)}
-            first, weights = three_point_weights(arms[-1][0].reshape(-1)[near_flat],
-                                                 arms[1][0].reshape(-1)[near_flat])
-            if axis == R_AXIS:  # u_rr + (a/r) u_r
-                ar = a / grid.r_nodes()[near_r]
-                weights = [w2 + ar * w1 for w2, w1 in zip(weights, first)]
-            c_m, c_0, c_p = weights
-            diag += c_0
-            for direction, c in ((-1, c_m), (1, c_p)):
-                _, cut, cut_pts = arms[direction]
-                cut = cut.reshape(-1)[near_flat]
-                link = ~cut
-                if axis == R_AXIS and direction == -1:
-                    # ghost across r = 0: the value u_0 folds into the diagonal
-                    ghost = link & (near_r == 0)
-                    diag[ghost] += c[ghost]
-                    link &= ~ghost
-                rows.append(near_row[link])
-                cols.append(row_of[near_flat[link] + direction * strides[axis]])
-                vals.append(c[link])
-                bc_rows.append(near_row[cut])
-                bc_coeffs.append(c[cut])
-                bc_points.append(cut_pts)
-                bc_keys.append((near_flat[cut] * dim + axis) * 2 + (direction > 0))
-        rows.append(near_row)
-        cols.append(near_row)
-        vals.append(diag)
-        order = np.argsort(np.concatenate(bc_keys))
-
-        A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n_active, n_active)).tocsr()
-
-        self.A = A
-        self.row_of = row_of
-        self.flat_active = flat_active
-        self.n_active = n_active
-        self.bc_rows = np.concatenate(bc_rows)[order]
-        self.bc_coeffs = np.concatenate(bc_coeffs)[order]
-        self.bc_points = np.concatenate(bc_points)[order]
+    @property
+    def n(self):
+        return self.b.shape[0]
 
     def bc_vector(self, dirichlet):
         """Accumulated boundary contributions coeff * g(cut point) per row."""
-        out = np.zeros(self.n_active)
+        out = np.zeros(self.A.shape[0])
         if self.bc_rows.size == 0:
             return out
         if dirichlet is None:
             raise MissingBoundaryData("stencil touches the boundary but no Dirichlet data given")
-        if callable(dirichlet):
-            g = np.asarray(dirichlet(self.bc_points), dtype=float)
-        else:
-            g = np.full(self.bc_rows.shape, float(dirichlet))
-        np.add.at(out, self.bc_rows, self.bc_coeffs * g)
+        np.add.at(out, self.bc_rows, self.bc_coeffs * on_points(dirichlet, self.bc_points))
         return out
 
+    def with_data(self, rhs, dirichlet):
+        """The system for L_a u = rhs with Dirichlet data `dirichlet` on the
+        same A and couplings; each is a constant or a callable on points."""
+        pts = self.grid.node_points()[grid_geometry(self.domain, self.grid).inside]
+        b = on_points(rhs, pts) - self.bc_vector(dirichlet)
+        return dataclasses.replace(self, b=b, dirichlet=dirichlet)
 
-@functools.lru_cache(maxsize=8)
-def discretize(domain, grid, params) -> _Stencil:
-    return _Stencil(domain, grid, params)
+    def field_from_vector(self, vec):
+        return ScalarField.from_active_vector(
+            self.grid, self.domain, vec, boundary_values=self.dirichlet
+        )
+
+
+def _build(domain, grid, params) -> SparseSystem:
+    """Matrix and boundary couplings of L_a on the active nodes of a grid,
+    as a system that holds no data yet (b and dirichlet are None)."""
+    geo = grid_geometry(domain, grid)
+    dim = grid.k + 1
+    shape = grid.shape
+    n_nodes = grid.n_nodes
+
+    flat_active = np.flatnonzero(geo.inside.reshape(-1))
+    n_active = flat_active.size
+    row_of = np.full(n_nodes, -1, dtype=np.int64)
+    row_of[flat_active] = np.arange(n_active)
+
+    strides = np.array(
+        [int(np.prod(shape[d + 1 :], dtype=np.int64)) for d in range(dim)], dtype=np.int64
+    )
+
+    h = grid.h_r
+    a = params.a
+    m_r = r_cell_measure(grid, params)
+    face = (np.arange(grid.n_r + 1) * h) ** a
+    # for a huge a the cell measures overflow and these quotients are not
+    # finite; `solve` names that cause, so no warning is printed here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_plus = face[1:] / (h * m_r)
+        c_minus = face[:-1] / (h * m_r)
+    c_minus[0] = 0.0  # zero weighted flux through r = 0 (reflection)
+    hy2 = grid.h_y**2
+
+    rows, cols, vals = [], [], []
+    # interior rows: flux form, vectorized
+    idx = np.argwhere(geo.interior)
+    if idx.size:
+        flat = idx @ strides
+        r_i = idx[:, 0]
+        diag = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
+        rows.append(row_of[flat])
+        cols.append(row_of[flat])
+        vals.append(diag)
+
+        nb = flat + strides[0]
+        rows.append(row_of[flat])
+        cols.append(row_of[nb])
+        vals.append(c_plus[r_i])
+
+        has_minus = r_i > 0
+        nb = flat[has_minus] - strides[0]
+        rows.append(row_of[flat[has_minus]])
+        cols.append(row_of[nb])
+        vals.append(c_minus[r_i[has_minus]])
+
+        for m in range(grid.k):
+            for direction in (1, -1):
+                nb = flat + direction * strides[1 + m]
+                rows.append(row_of[flat])
+                cols.append(row_of[nb])
+                vals.append(np.full(flat.shape, 1.0 / hy2))
+
+    # near-boundary rows: nondivergence Shortley-Weller, one pass per
+    # (axis, direction).  The diagonal sums c_0 axis by axis, the r = 0
+    # ghost right after axis 0's c_0, and the boundary couplings are
+    # sorted by (node, axis, minus before plus): bc_vector sums them in
+    # that order.
+    near_flat = np.flatnonzero(geo.near.reshape(-1))
+    near_row = row_of[near_flat]
+    near_r = np.unravel_index(near_flat, shape)[R_AXIS]
+    diag = np.zeros(near_flat.size)
+    bc_rows, bc_coeffs, bc_points, bc_keys = [], [], [], []
+    for axis in range(dim):
+        arms = {d: geo.arm(axis, d) for d in (1, -1)}
+        first, weights = three_point_weights(arms[-1][0].reshape(-1)[near_flat],
+                                             arms[1][0].reshape(-1)[near_flat])
+        if axis == R_AXIS:  # u_rr + (a/r) u_r
+            ar = a / grid.r_nodes()[near_r]
+            weights = [w2 + ar * w1 for w2, w1 in zip(weights, first)]
+        c_m, c_0, c_p = weights
+        diag += c_0
+        for direction, c in ((-1, c_m), (1, c_p)):
+            _, cut, cut_pts = arms[direction]
+            cut = cut.reshape(-1)[near_flat]
+            link = ~cut
+            if axis == R_AXIS and direction == -1:
+                # ghost across r = 0: the value u_0 folds into the diagonal
+                ghost = link & (near_r == 0)
+                diag[ghost] += c[ghost]
+                link &= ~ghost
+            rows.append(near_row[link])
+            cols.append(row_of[near_flat[link] + direction * strides[axis]])
+            vals.append(c[link])
+            bc_rows.append(near_row[cut])
+            bc_coeffs.append(c[cut])
+            bc_points.append(cut_pts)
+            bc_keys.append((near_flat[cut] * dim + axis) * 2 + (direction > 0))
+    rows.append(near_row)
+    cols.append(near_row)
+    vals.append(diag)
+    order = np.argsort(np.concatenate(bc_keys))
+
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_active, n_active)).tocsr()
+    return SparseSystem(
+        A=A, b=None, domain=domain, grid=grid, params=params, dirichlet=None,
+        bc_rows=np.concatenate(bc_rows)[order],
+        bc_coeffs=np.concatenate(bc_coeffs)[order],
+        bc_points=np.concatenate(bc_points)[order],
+    )
+
+
+def assemble_torsion_system(domain, grid, params, rhs=-1.0, dirichlet=0.0) -> SparseSystem:
+    """Assemble A u = b for L_a u = rhs with Dirichlet data on the cut
+    points; rhs and dirichlet are each a constant or a callable on points.
+    A approximates L_a itself (diagonal strictly negative), so the torsion
+    problem is rhs = -1 with dirichlet = 0."""
+    min_axis = min(domain.r_extent, *domain.y_halfwidth)
+    if min_axis / grid.h_r < 4.0 - 1e-12:
+        raise GridTooCoarse(
+            f"smallest semi-axis {min_axis} is under 4 cells at h={grid.h_r}; refine the grid"
+        )
+    return _build(domain, grid, params).with_data(rhs, dirichlet)
 
 
 # ---------------------------------------------------------------------------
@@ -183,75 +224,17 @@ def apply_operator(field, params, rows_mask=None):
     Rows next to the boundary need the field's Dirichlet data; restrict with
     rows_mask (boolean, grid shape) to evaluate only away from the boundary
     (for example for fields that carry no boundary values)."""
-    st = discretize(field.domain, field.grid, params)
-    u = field.values.reshape(-1)[st.flat_active]
-    out = st.A @ u
-    if st.bc_rows.size:
-        needed = np.ones(st.n_active, dtype=bool)
-        if rows_mask is not None:
-            needed = rows_mask.reshape(-1)[st.flat_active]
-        if needed[st.bc_rows].any():
-            if field.boundary_values is None:
-                raise MissingBoundaryData(
-                    "applying the operator next to the boundary requires "
-                    "Dirichlet data on the field"
-                )
-            out = out + st.bc_vector(field.boundary_values)
-    vals = np.full(field.grid.shape, np.nan).reshape(-1)
-    vals[st.flat_active] = out
-    vals = vals.reshape(field.grid.shape)
+    system = assemble_torsion_system(field.domain, field.grid, params)
+    inside = field.geometry.inside
+    out = system.A @ field.values[inside]
+    if system.bc_rows.size and (rows_mask is None or rows_mask[inside][system.bc_rows].any()):
+        out = out + system.bc_vector(field.boundary_values)  # raises without Dirichlet data
+    vals = np.full(field.grid.shape, np.nan)
+    vals[inside] = out
     if rows_mask is not None:
         vals = np.where(rows_mask, vals, np.nan)
     return ScalarField(grid=field.grid, domain=field.domain, values=vals,
                        boundary_values=None, parity=field.parity)
-
-
-@dataclass
-class SparseSystem:
-    """Assembled linear system A u = b on the active nodes (A ~ L_a)."""
-
-    A: sp.csr_matrix
-    b: np.ndarray
-    domain: object
-    grid: object
-    params: object
-    dirichlet: object
-
-    @property
-    def n(self):
-        return self.b.shape[0]
-
-    def field_from_vector(self, vec):
-        return ScalarField.from_active_vector(
-            self.grid, self.domain, vec, boundary_values=self.dirichlet
-        )
-
-
-def assemble_torsion_system(domain, grid, params, rhs=-1.0, dirichlet=0.0) -> SparseSystem:
-    """Assemble A u = b for L_a u = rhs with Dirichlet data on the cut
-    points; rhs and dirichlet are each a constant or a callable on points.
-    A approximates L_a itself (diagonal strictly negative), so the torsion
-    problem is rhs = -1 with dirichlet = 0."""
-    min_axis = min(domain.r_extent, *domain.y_halfwidth)
-    if min_axis / grid.h_r < 4.0 - 1e-12:
-        raise GridTooCoarse(
-            f"smallest semi-axis {min_axis} is under 4 cells at h={grid.h_r}; refine the grid"
-        )
-    st = discretize(domain, grid, params)
-    if callable(rhs):
-        pts = grid.node_points().reshape(-1, grid.k + 1)[st.flat_active]
-        rhs_vec = np.asarray(rhs(pts), dtype=float)
-    else:
-        rhs_vec = np.full(st.n_active, float(rhs))
-    b = rhs_vec - st.bc_vector(dirichlet)
-    return SparseSystem(
-        A=st.A,
-        b=b,
-        domain=domain,
-        grid=grid,
-        params=params,
-        dirichlet=dirichlet,
-    )
 
 
 def boundary_normal_gradient(field, samples=None, count=20000, depth=None):

@@ -185,12 +185,15 @@ class PolyField:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.nvars:
             raise ValueError("points have wrong arity")
+        # each power once per call; the products and sums keep their order
+        powers = {(axis, e): pts[..., axis] ** e
+                  for mono in self.coeffs for axis, e in enumerate(mono) if e}
         out = np.zeros(pts.shape[:-1], dtype=float)
         for mono, c in self.coeffs.items():
-            term = np.full(pts.shape[:-1], float(c))
+            term = float(c)
             for axis, e in enumerate(mono):
                 if e:
-                    term = term * pts[..., axis] ** e
+                    term = term * powers[axis, e]
             out += term
         return out
 

@@ -328,9 +328,10 @@ _BOUNDARY_CHECKS = {
 }
 
 
-def _manufactured_gradient_error(domain, grid, params, solver_tol, max_iter):
-    """Solve a known even quartic on the same grid and measure the max
-    nodal and deep-node gradient errors, used to calibrate tolerances."""
+def _manufactured_gradient_error(system, solver_tol, max_iter):
+    """Solve a known even quartic on the matrix of `system` and measure the
+    max nodal and deep-node gradient errors, used to calibrate tolerances."""
+    domain, grid, params = system.domain, system.grid, system.params
     k = params.k
     r = PolyField.variable(0, k + 1)
     rho2 = r * r
@@ -341,12 +342,11 @@ def _manufactured_gradient_error(domain, grid, params, solver_tol, max_iter):
 
     weights = BesselWeights.weinstein(params)
     rhs_poly = bessel_sum_apply(v, weights)
-    system = assemble_torsion_system(
-        domain, grid, params,
+    quartic = system.with_data(
         rhs=lambda pts: rhs_poly.eval_float(domain.offset(pts)),
         dirichlet=lambda pts: v.eval_float(domain.offset(pts)),
     )
-    v_h, _ = solve(system, tol=solver_tol, max_iter=max_iter)
+    v_h, _ = solve(quartic, tol=solver_tol, max_iter=max_iter)
     geo = v_h.geometry
     q = domain.offset(grid.node_points()[geo.inside])  # the errors read no other node
     err = float(np.max(np.abs(v_h.values[geo.inside] - v.eval_float(q))))
@@ -451,7 +451,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     if "p_constancy" in names and stats is not None:
         try:
             mms_err, mms_gerr = _manufactured_gradient_error(
-                domain, grid, params, solver_tol, max_iter)
+                system, solver_tol, max_iter)
             extras["mms_max_error"] = mms_err
             extras["mms_gradient_error"] = mms_gerr
         except (NoConvergence, BreakdownDetected):

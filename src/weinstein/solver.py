@@ -206,10 +206,9 @@ def solve(system, tol=1e-10, max_iter=20000):
     if broke_down:
         raise BreakdownDetected("BiCGStab broke down twice", best=fld, report=report)
     if not converged:
-        raise NoConvergence(
-            f"{method} stopped at relative residual {residual:.3e} "
-            f"after {iterations} iterations (target {tol:.1e})",
-            best=fld,
-            report=report,
-        )
+        text = (f"{method} stopped at relative residual {residual:.3e} "
+                f"after {iterations} iterations (target {tol:.1e})")
+        if not np.isfinite(A.data).all():
+            text += ": the assembled matrix holds non-finite entries"
+        raise NoConvergence(text, best=fld, report=report)
     return fld, report

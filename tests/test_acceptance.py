@@ -118,8 +118,8 @@ def test_criterion_01_explicit_solution_reproduction():
                 grid = StaggeredGrid.from_domain(Ball(1.0, center=(0.0,) * k),
                                                  1.0 / hi)
                 e, _ = _manufactured_gradient_error(
-                    Ball(1.0, center=(0.0,) * k), grid,
-                    WeinsteinParams(a=a, k=k), 1e-11, 20000)
+                    assemble_torsion_system(Ball(1.0, center=(0.0,) * k), grid,
+                                            WeinsteinParams(a=a, k=k)), 1e-11, 20000)
                 mms.append(e)
             case_ok = case_ok and all(o >= 1.9 for o in _orders(mms))
             details.append(f"(a={a},k={k}): err={errs[-1]:.1e} (floor), "

@@ -1,0 +1,80 @@
+"""The benchmark's op scripts against the package API.
+
+`bench/traced.py` and `bench/child.py` drive the package through its
+public names.  The benchmark is kept fixed across changes to the package,
+so a renamed or deleted name must fail here, in the fast suite, and not
+only when the benchmark itself runs.  Both scripts are imported with
+`bench/` on `sys.path`, and every `weinstein` name they import or read an
+attribute of (at any depth, also inside functions) must resolve.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SCRIPTS = ("traced", "child")
+
+
+def _weinstein_references(tree):
+    """(dotted name, line) for each weinstein name the module uses."""
+    bound = {}  # local name -> dotted weinstein path
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "weinstein":
+                    bound[alias.asname or alias.name.split(".")[0]] = (
+                        alias.name if alias.asname else "weinstein")
+                    refs.append((alias.name, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[0] == "weinstein":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                refs.append((f"{node.module}.{alias.name}", node.lineno))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain = []
+            inner = node
+            while isinstance(inner, ast.Attribute):
+                chain.append(inner.attr)
+                inner = inner.value
+            if isinstance(inner, ast.Name) and inner.id in bound:
+                refs.append((".".join([bound[inner.id], *reversed(chain)]), node.lineno))
+    return refs
+
+
+def _resolve(dotted):
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=1):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            obj = importlib.import_module(".".join(parts[:i + 1]))
+    return obj
+
+
+@pytest.fixture
+def bench_on_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in (*SCRIPTS, "gate", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_bench_script_imports_and_its_weinstein_names_resolve(script, bench_on_path):
+    importlib.import_module(script)
+    tree = ast.parse((BENCH / f"{script}.py").read_text())
+    refs = _weinstein_references(tree)
+    assert refs, "the script names nothing of weinstein"
+    missing = []
+    for dotted, line in refs:
+        try:
+            _resolve(dotted)
+        except (AttributeError, ImportError):
+            missing.append(f"{script}.py:{line}: {dotted}")
+    assert not missing, missing

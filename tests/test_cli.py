@@ -157,11 +157,9 @@ def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, co
             f"{iterations} iterations (target 1.0e-10)\n") in capsys.readouterr().err
 
 
-# the cell measures overflow at this a, leaving NaN entries in A (warned of
-# by assembly, not by the solver); the V-cycle's dense coarse solve must not
-# turn them into an SVD error
-@pytest.mark.filterwarnings("ignore::RuntimeWarning:weinstein.measure")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning:weinstein.operator")
+# the cell measures overflow at this a, leaving NaN entries in A; the
+# V-cycle's dense coarse solve must not turn them into an SVD error, and the
+# failure names the matrix (no RuntimeWarning: pytest would make it an error)
 def test_non_finite_matrix_exits_three_without_a_linear_algebra_error(tmp_path, capsys):
     cfg = {
         "params": {"a": 300.0, "k": 1},
@@ -173,7 +171,9 @@ def test_non_finite_matrix_exits_three_without_a_linear_algebra_error(tmp_path, 
     report = json.loads((tmp_path / "out" / "report.json").read_text(),
                         parse_constant=_reject_constant)
     assert report["solver"]["converged"] is False
-    assert "solver failure: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver failure: " in err
+    assert "the assembled matrix holds non-finite entries" in err
 
 
 def test_ball_beyond_the_sphere_lattices_skips_the_boundary_checks(tmp_path):

@@ -7,6 +7,9 @@ and agree with an independently assembled full-plane discretization at
 a = 0, where the axis fold is nothing but even reflection.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -346,6 +349,19 @@ def test_assembly_rejects_too_coarse_grids():
     grid = StaggeredGrid.from_domain(dom, 0.5)
     with pytest.raises(GridTooCoarse):
         assemble_torsion_system(dom, grid, params)
+
+
+def test_assembled_matrices_are_freed_with_their_systems():
+    # a sweep over a builds one matrix per value; none may outlive its system
+    dom = Ball(1.0)
+    grid = StaggeredGrid.from_domain(dom, 1.0 / 8)
+    refs = []
+    for a in (0.0, 0.5, 1.0, 2.0):
+        system = assemble_torsion_system(dom, grid, WeinsteinParams(a=a, k=1))
+        refs.append(weakref.ref(system.A))
+    del system
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_axis_probe_needs_three_r_layers():

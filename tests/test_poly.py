@@ -7,6 +7,7 @@ import pytest
 
 from weinstein.errors import ParityViolation
 from weinstein.poly import PolyField
+from weinstein.rigidity import _random_even_poly
 
 
 def x(i, n):
@@ -94,3 +95,29 @@ def test_call_is_eval():
     r = x(0, 1)
     p = r * r + PolyField.constant(1, 1)
     assert p((2.0,)) == pytest.approx(5.0)
+
+
+def _eval_float_per_monomial(p, points):
+    """eval_float as it was: each monomial builds its own powers."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:-1], dtype=float)
+    for mono, c in p.coeffs.items():
+        term = np.full(pts.shape[:-1], float(c))
+        for axis, e in enumerate(mono):
+            if e:
+                term = term * pts[..., axis] ** e
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_eval_float_power_table_is_bitwise_the_per_monomial_loop(k):
+    rng = np.random.default_rng(k)
+    pts = rng.uniform(-2.0, 2.0, size=(64, k + 1))
+    rho2 = sum((x(i, k + 1) * x(i, k + 1) for i in range(1, k + 1)), x(0, k + 1) ** 2)
+    polys = [rho2 * rho2 + rho2, PolyField.constant(Fraction(-3, 7), k + 1)]
+    polys += [_random_even_poly(rng, k + 1, max_degree=6) for _ in range(20)]
+    for p in polys:
+        for q in (pts, pts[0]):
+            got, want = p.eval_float(q), _eval_float_per_monomial(p, q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), p

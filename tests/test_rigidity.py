@@ -41,6 +41,7 @@ from weinstein import (
     serrin_defect,
     solve,
 )
+from weinstein import operator as operator_module
 from weinstein.cli import main
 
 
@@ -184,6 +185,22 @@ def test_ball_battery_passes_everything():
     assert report.extras["center_value"] == pytest.approx(1.0 / 6.0, abs=1e-3)
     assert report.extras["boundary_gradient_cv"] <= 1e-9
     assert report.extras["sigma0_flux"] == 0.0  # a > 0: no axis contribution
+
+
+def test_full_battery_builds_the_matrix_once(monkeypatch):
+    # the p_constancy calibration solves on the torsion system's matrix
+    builds = []
+    build = operator_module._build
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(operator_module, "_build", counted)
+    report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), PARAMS, h=1.0 / 16)
+    assert [c.name for c in report.checks] == list(CHECK_NAMES)
+    assert "mms_gradient_error" in report.extras
+    assert len(builds) == 1
 
 
 def test_ellipsoid_battery_fails_exactly_the_overdetermined_checks():

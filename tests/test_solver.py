@@ -8,6 +8,7 @@ reproduce its solutions bit for bit, with the same iteration counts, under
 Jacobi and under the k = 1 V-cycle.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,7 +26,6 @@ from weinstein import (
     BreakdownDetected,
     Ellipsoid,
     NoConvergence,
-    SparseSystem,
     StaggeredGrid,
     WeinsteinParams,
     assemble_torsion_system,
@@ -48,14 +48,8 @@ def _diagonal_system():
     # hand-built SPD case (after the solver's sign flip): A = -I
     sys0 = _ball_system(h=1.0 / 8)
     n = sys0.n
-    return SparseSystem(
-        A=(-sp.identity(n)).tocsr(),
-        b=np.linspace(-1.0, 1.0, n),
-        domain=sys0.domain,
-        grid=sys0.grid,
-        params=sys0.params,
-        dirichlet=0.0,
-    )
+    return dataclasses.replace(sys0, A=(-sp.identity(n)).tocsr(),
+                               b=np.linspace(-1.0, 1.0, n))
 
 
 def test_symmetric_diagonal_system_solves_by_bicgstab():
@@ -95,10 +89,7 @@ def test_grid_aligned_box_solves_by_bicgstab(a):
 
 def test_zero_rhs_short_circuits():
     system = _diagonal_system()
-    zeroed = SparseSystem(
-        A=system.A, b=np.zeros(system.n), domain=system.domain, grid=system.grid,
-        params=system.params, dirichlet=0.0,
-    )
+    zeroed = dataclasses.replace(system, b=np.zeros(system.n))
     u, report = solve(zeroed)
     assert report.method == "none"
     assert report.iterations == 0
@@ -208,14 +199,8 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
     n = sys0.n
     assert n % 2 == 0
     block = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    system = SparseSystem(
-        A=sp.block_diag([block] * (n // 2), format="csr"),
-        b=np.ones(n),
-        domain=sys0.domain,
-        grid=sys0.grid,
-        params=sys0.params,
-        dirichlet=0.0,
-    )
+    system = dataclasses.replace(sys0, A=sp.block_diag([block] * (n // 2), format="csr"),
+                                 b=np.ones(n))
     runs = []
     loop = solver_module._bicgstab
 
