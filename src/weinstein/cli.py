@@ -190,6 +190,14 @@ class RunConfig:
         return WeinsteinParams(a=self.a, k=self.k)
 
 
+def _swept(old, value: float):
+    """An integral `value` as an int where the config holds an int (seed,
+    solver.max_iter, params.k); otherwise `value` unchanged."""
+    if isinstance(old, int) and not isinstance(old, bool) and value.is_integer():
+        return int(value)
+    return value
+
+
 def _set_sweep_value(raw: dict, path: str, value: float) -> dict:
     """Assign `value` at a dotted path ('params.a', 'domain.semi_axes.1')."""
     parts = path.split(".")
@@ -211,11 +219,11 @@ def _set_sweep_value(raw: dict, path: str, value: float) -> dict:
             node[idx]
         except (ValueError, IndexError):
             raise ConfigError(f"sweep.path '{path}' does not address the config")
-        node[idx] = value
+        node[idx] = _swept(node[idx], value)
     elif isinstance(node, dict) and last in node:
         if isinstance(node[last], (dict, list)):
             raise ConfigError(f"sweep.path '{path}' must address a scalar")
-        node[last] = value
+        node[last] = _swept(node[last], value)
     else:
         raise ConfigError(f"sweep.path '{path}' does not address the config")
     return raw

@@ -305,16 +305,29 @@ CSV_BLOCK_ROWS = 2048  # rows formatted per string operation; bounds the text in
 
 
 def field_to_csv(field, path):
-    """Write `r,y1,...,yk,u` rows (17 significant digits) for active nodes."""
+    """Write `r,y1,...,yk,u` rows (17 significant digits) for active nodes.
+
+    Each lattice coordinate is formatted once per axis (`%.17g`) and a
+    row's coordinates are gathered from that text by its node index, so
+    only `u` is formatted per row.  The rows come in C order of the
+    lattice, the order of `values[inside]`."""
     grid = field.grid
     geo = grid_geometry(field.domain, field.grid)
-    table = np.column_stack([grid.node_points()[geo.inside], field.values[geo.inside]])
+    index = np.nonzero(geo.inside)
+    axis_text = [np.array(["%.17g," % c for c in axis.tolist()], dtype=object)
+                 for axis in grid.axes()]
+    values = field.values[geo.inside]
     header = "r," + ",".join(f"y{m + 1}" for m in range(grid.k)) + ",u"
-    line = ",".join(["%.17g"] * (grid.k + 2)) + "\n"
+    line = "%s" * (grid.k + 1) + "%.17g\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
+        for start in range(0, values.size, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            u = values[rows]
+            block = np.empty((u.size, grid.k + 2), dtype=object)
+            for col, (text, node) in enumerate(zip(axis_text, index)):
+                block[:, col] = text[node[rows]]
+            block[:, -1] = u
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -338,7 +351,13 @@ def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
     if bad.any():
         raise ValueError(f"{int(bad.sum())} rows do not land on a grid node, "
                          f"first at {coords[bad][0].tolist()}")
+    flat = np.ravel_multi_index(tuple(index.T), grid.shape)
+    named = np.bincount(flat, minlength=grid.n_nodes)
+    repeats = flat.size - int(np.count_nonzero(named))
+    if repeats:
+        raise ValueError(f"{repeats} rows repeat a grid node, "
+                         f"first at {coords[named[flat] > 1][0].tolist()}")
     vals = np.full(grid.shape, np.nan)
-    vals[tuple(index.T)] = rows[:, -1]
+    vals.reshape(-1)[flat] = rows[:, -1]
     return ScalarField(grid=grid, domain=domain, values=vals,
                        boundary_values=boundary_values, parity=parity)

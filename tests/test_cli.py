@@ -357,6 +357,24 @@ def test_sweep_path_must_address_a_scalar(tmp_path):
     assert _run(["sweep", "--config", _write(tmp_path, cfg)]) == 2
 
 
+def test_sweep_over_an_integer_key_writes_integers(tmp_path):
+    cfg = dict(BALL, checks=["positivity"], output_dir=str(tmp_path / "s"),
+               sweep={"path": "seed", "values": [1, 2]})
+    assert _run(["sweep", "--config", _write(tmp_path, cfg)]) == 0
+    for i, seed in enumerate((1, 2)):
+        report = json.loads((tmp_path / "s" / f"run_{i:03d}" / "report.json").read_text())
+        assert report["config"]["seed"] == seed and isinstance(report["config"]["seed"], int)
+    values = [line.split(",")[0] for line in
+              (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()[1:]]
+    assert values == ["1", "2"]
+
+
+def test_sweep_of_a_non_integral_value_into_an_integer_key_exits_two(tmp_path, capsys):
+    cfg = dict(BALL, output_dir=str(tmp_path / "s"),
+               sweep={"path": "solver.max_iter", "values": [1.5]})
+    assert _run(["sweep", "--config", _write(tmp_path, cfg)]) == 2
+    assert "solver.max_iter must be an integer" in capsys.readouterr().err
+
 # -- module entry point -------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ a = 0, where the axis fold is nothing but even reflection.
 """
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -338,6 +339,20 @@ def test_field_csv_rejects_rows_off_the_grid(tmp_path):
     path.write_text(f"r,y1,u\n{r!r},{grid.y_start[0]!r},1.0\n")
     with pytest.raises(ValueError, match="grid node"):
         field_from_csv(path, grid, dom)
+
+
+def test_field_csv_rejects_a_node_named_twice(tmp_path):
+    params = WeinsteinParams(a=1.0, k=1)
+    u, _ = _torsion(Ball(1.0), params, 1.0 / 8)
+    path = tmp_path / "u.csv"
+    field_to_csv(u, path)
+    lines = path.read_text().splitlines()
+    # the second node again, after the third, with another value
+    r, y, _ = lines[2].split(",")
+    path.write_text("\n".join(lines[:4] + [f"{r},{y},7.0"] + lines[4:]) + "\n")
+    message = f"1 rows repeat a grid node, first at {[float(r), float(y)]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        field_from_csv(path, u.grid, u.domain)
 
 
 # -- guards -----------------------------------------------------------------------

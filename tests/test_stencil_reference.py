@@ -244,6 +244,9 @@ def _reference_csv(field, path):
 @pytest.mark.parametrize("domain,h,blocks", [
     (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.1,)), 1 / 40, 3),
     (Ball(1.0, center=(0.0, 0.3)), 1 / 8, 1),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 10, 13),
+    # a node column at y1 = 0 (up to rounding)
+    (Ball(1.0, center=(1 / 24,)), 1 / 12, 1),
 ])
 def test_block_csv_writer_matches_the_row_loop_bytes(tmp_path, domain, h, blocks):
     grid = StaggeredGrid.from_domain(domain, h)
