@@ -59,7 +59,12 @@ class _AxialDomain:
     boundary has corners, `smooth_boundary = False`.  `extents` are the
     k+1 semi-extents along (r, y1, ..., yk).  A shape that knows more
     overrides `exact_torsion` (a closed-form solution) or `cell_fraction`
-    (an exact cell overlap)."""
+    (an exact cell overlap).
+
+    `signed_distance(x, band=inf)` has one contract on every shape: its
+    value is exact where |sd| <= band; elsewhere it has the sign of sd and
+    band < |value| <= |sd|.  Callers that read only the sign, or the value
+    near the boundary, pass the band they read."""
 
     smooth_boundary = True
 
@@ -159,7 +164,7 @@ class Ball(_AxialDomain):
 
         return u_exact, R / N
 
-    def signed_distance(self, x):
+    def signed_distance(self, x, band=math.inf):
         q = self._centered(x)
         return np.linalg.norm(q, axis=-1) - self.radius
 
@@ -182,11 +187,17 @@ class Ellipsoid(_AxialDomain):
     of f(t) = sum((s_i q_i / (s_i^2 + t))^2) - 1.  f is convex and
     decreasing on t > -min(s)^2, so Newton started left of the root, where
     the largest single term equals 1, climbs to it monotonically; it runs
-    on x = t + min(s)^2, which keeps the roots next to that pole exact.  Deep
-    inside, past the medial axis where that root can disappear, a
-    conservative proxy (1 - |q/s|) * min(s) is used; all boundary-local
-    consumers (probes, volume fractions) stay on the exact branch.  Cut
-    fractions along grid lines come in closed form from `axis_cut`.
+    on x = t + min(s)^2, which keeps the roots next to that pole exact.
+
+    The quadric bound (|q/s| - 1) * min(s) has the sign of the distance and
+    never exceeds it in size, on either side, because |q/s| is
+    1/min(s)-Lipschitz.  `signed_distance(x, band)` returns the bound on
+    the rows where it exceeds `band` by more than the rounding of either
+    value (shrunk by that rounding slack) and runs Newton only on the
+    rest, so it is exact within `band` of the boundary.  Deep inside, past
+    the medial axis where the Newton root can disappear, the bound is the
+    value at any band.  Cut fractions along grid lines come in closed form
+    from `axis_cut`.
     """
 
     semi_axes: tuple
@@ -194,33 +205,43 @@ class Ellipsoid(_AxialDomain):
 
     kind, shape_key = "ellipsoid", "semi_axes"
 
+    def _level(self, q):
+        """|q / s| of centred points q: below 1 inside, 1 on the boundary."""
+        return np.sqrt(np.sum((q / np.asarray(self.semi_axes)) ** 2, axis=-1))
+
     def _nearest(self, q):
         """Nearest boundary point p and 'deep' mask, q already centered."""
         s = np.asarray(self.semi_axes)
         s2 = s * s
         flat = q.reshape(-1, q.shape[-1])
-        level = np.sqrt(np.sum((flat / s) ** 2, axis=-1))
         x, deep, _ = _ellipsoid_root(s * flat, s2)
         p = s2 * flat / (s2 - s2.min() + x[:, None])
-        return p.reshape(q.shape), deep.reshape(q.shape[:-1]), level.reshape(q.shape[:-1])
+        return p.reshape(q.shape), deep.reshape(q.shape[:-1])
 
-    def signed_distance(self, x):
+    def signed_distance(self, x, band=math.inf):
         q = self._centered(x)
-        p, deep, level = self._nearest(q)
-        dist = np.linalg.norm(q - p, axis=-1)
-        sign = np.where(level >= 1.0, 1.0, -1.0)
-        sd = sign * dist
-        proxy = -(1.0 - level) * min(self.semi_axes)
-        return np.where(deep, proxy, sd)
+        level = self._level(q)
+        sd = np.asarray((level - 1.0) * min(self.semi_axes))
+        # covers the rounding of the bound and of the Newton distance, so a
+        # row kept as the bound lies beyond the band and, shrunk by it,
+        # stays below the Newton distance in size where the two meet
+        slack = 1e-12 * (level + 1.0) * max(self.semi_axes)
+        near = np.abs(sd) <= band + 2.0 * slack
+        qn = q[near]
+        p, deep = self._nearest(qn)
+        dist = np.linalg.norm(qn - p, axis=-1)
+        sd[near] = np.where(deep, sd[near], np.where(level[near] >= 1.0, dist, -dist))
+        sd[~near] -= np.sign(sd[~near]) * slack[~near]
+        return sd
 
     def sd_gradient(self, x):
         x = np.asarray(x, dtype=float)
         q = self._centered(x)
-        p, deep, level = self._nearest(q)
+        p, deep = self._nearest(q)
         s2 = np.asarray(self.semi_axes) ** 2
         d = q - p
         n = np.linalg.norm(d, axis=-1, keepdims=True)
-        sign = np.where(level >= 1.0, 1.0, -1.0)[..., None]
+        sign = np.where(self._level(q) >= 1.0, 1.0, -1.0)[..., None]
         g = np.where(n > 1e-12, sign * np.divide(d, n, out=np.zeros_like(d), where=n > 0), 0.0)
         # on (or numerically at) the surface fall back to the level-set normal
         surf = (n <= 1e-12)[..., 0] | deep
@@ -275,7 +296,7 @@ class Box(_AxialDomain):
     kind, shape_key = "box", "half_widths"
     smooth_boundary = False
 
-    def signed_distance(self, x):
+    def signed_distance(self, x, band=math.inf):
         q = self._centered(x)
         d = np.abs(q) - np.asarray(self.half_widths)
         outside = np.linalg.norm(np.maximum(d, 0.0), axis=-1)
@@ -420,13 +441,20 @@ class GridGeometry:
                     from a local planar model of the boundary
     donor_flat      for covered cells whose center is outside: flat index of
                     an adjacent inside node to read field values from (-1: none)
+    sd              signed distance of every node, exact where |sd| is at
+                    most max(1.0001 half cell diagonals, 2h), which covers
+                    the volume-fraction band and the sd <= -2h of
+                    `gamma.p_subharmonicity_defect`; beyond it only its
+                    sign is exact (see `_AxialDomain`)
     """
 
     def __init__(self, domain, grid):
         self.domain = domain
         self.grid = grid
         pts = grid.node_points()
-        sd = domain.signed_distance(pts)
+        h = grid.h_r
+        fraction_band = 0.5 * h * math.sqrt(grid.k + 1) * 1.0001
+        sd = domain.signed_distance(pts, band=max(fraction_band, 2.0 * h))
         self.sd = sd
         inside = sd < 0.0
         if not inside.any():
@@ -466,7 +494,7 @@ class GridGeometry:
         if (inside & edge).any():
             raise EmptyDomain("domain touches the lattice edge; margin too small")
 
-        self._build_volume_fractions(pts, sd)
+        self._build_volume_fractions(pts, sd, fraction_band)
 
     def arm(self, axis, direction):
         """Shortley-Weller arm of every node along (axis, direction).
@@ -481,12 +509,11 @@ class GridGeometry:
         length[cut] = np.maximum(theta[cut], ARM_FLOOR) * h
         return length, cut, self.cut_points[(axis, direction)]
 
-    def _build_volume_fractions(self, pts, sd):
+    def _build_volume_fractions(self, pts, sd, fraction_band):
         grid, domain = self.grid, self.domain
         dim = grid.k + 1
         h = grid.h_r
-        half_diag = 0.5 * h * math.sqrt(dim)
-        band = np.abs(sd) <= half_diag * 1.0001
+        band = np.abs(sd) <= fraction_band
         frac = np.where(sd < 0, 1.0, 0.0)
         if band.any():
             frac[band] = domain.cell_fraction(pts[band], sd[band], h)

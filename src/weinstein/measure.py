@@ -163,8 +163,10 @@ def _sphere_points(params, center, t, n_samples):
 def _check_containment(field, pts):
     grid = field.grid
     margin = grid.h_r * math.sqrt(grid.k + 1.0)
-    sd = field.domain.signed_distance(pts)
+    # exact within 0.5 * margin, so the comparison reads the sign of sd elsewhere
+    sd = field.domain.signed_distance(pts, band=0.5 * margin)
     if np.any(sd > -0.5 * margin):
+        sd = field.domain.signed_distance(pts)  # the exact maximum for the message
         raise SphereOutsideDomain(
             "averaging sphere is not contained in the field's domain "
             f"(max signed distance {sd.max():.3g})"

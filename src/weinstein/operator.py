@@ -332,7 +332,11 @@ def field_to_csv(field, path):
 
 
 def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
-    """Read a field written by field_to_csv back onto its grid."""
+    """Read a field written by field_to_csv back onto its grid.
+
+    Every row must name a distinct inside node of the lattice, and every
+    inside node must have a row; a ValueError names the count and the
+    first offender otherwise."""
     ncol = grid.k + 2
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -357,6 +361,16 @@ def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
     if repeats:
         raise ValueError(f"{repeats} rows repeat a grid node, "
                          f"first at {coords[named[flat] > 1][0].tolist()}")
+    inside = grid_geometry(domain, grid).inside.reshape(-1)
+    outside = ~inside[flat]
+    if outside.any():
+        raise ValueError(f"{int(outside.sum())} rows name a node outside the domain, "
+                         f"first at {coords[outside][0].tolist()}")
+    missing = np.flatnonzero(inside & (named == 0))
+    if missing.size:
+        first = [float(axis[i]) for axis, i in
+                 zip(grid.axes(), np.unravel_index(missing[0], grid.shape))]
+        raise ValueError(f"{missing.size} inside nodes have no row, first at {first}")
     vals = np.full(grid.shape, np.nan)
     vals.reshape(-1)[flat] = rows[:, -1]
     return ScalarField(grid=grid, domain=domain, values=vals,

@@ -12,6 +12,7 @@ into a machine-readable report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -81,9 +82,12 @@ def flux_identity_residual(domain, params: WeinsteinParams, grid,
     (a+1+k) r^a; its flux through the axis wall vanishes because <Z, nu>
     is -r there, so only the outer boundary contributes.
     """
+    return _flux_pair(domain, params, grid, *_weighted_samples(domain, params, count))
+
+
+def _flux_pair(domain, params, grid, s, w):
     lhs = params.dim_eff * weighted_volume_integral(1.0, params, domain=domain,
                                                     grid=grid).value
-    s, w = _weighted_samples(domain, params, count)
     z = domain.offset(s.points)
     rhs = float(np.sum(w * np.sum(z * s.normals, axis=-1)))
     return IdentityPair(lhs, rhs)
@@ -97,10 +101,15 @@ def pohozaev_residual(u: ScalarField, params: WeinsteinParams,
         = (a-1+k)/2 int |grad u|^2 r^a - (a+1+k) int u r^a.
     """
     s, w = _weighted_samples(u.domain, params, count)
-    un = boundary_normal_gradient(u, samples=s)
+    return _pohozaev_pair(u, params, s, w, boundary_normal_gradient(u, samples=s),
+                          dirichlet_energy_residual(u, params))
+
+
+def _pohozaev_pair(u, params, s, w, un, energy):
+    """Pohozaev sides from the samples s, their weights w, |du/dn| there
+    and the energy pair (lhs: energy, rhs: mass)."""
     zn = np.sum(u.domain.offset(s.points) * s.normals, axis=-1)
     lhs = -0.5 * float(np.sum(w * un**2 * zn))
-    energy = dirichlet_energy_residual(u, params)  # lhs: energy, rhs: mass
     rhs = 0.5 * (params.a - 1.0 + params.k) * energy.lhs - params.dim_eff * energy.rhs
     return IdentityPair(lhs, rhs)
 
@@ -121,7 +130,10 @@ class GradientStats:
 def boundary_gradient_stats(u: ScalarField, params: WeinsteinParams,
                             count: int = 20000) -> GradientStats:
     s, w = _weighted_samples(u.domain, params, count)
-    un = boundary_normal_gradient(u, samples=s)
+    return _gradient_stats(w, boundary_normal_gradient(u, samples=s))
+
+
+def _gradient_stats(w, un):
     wsum = float(np.sum(w))
     mean = float(np.sum(w * un) / wsum)
     var = float(np.sum(w * (un - mean) ** 2) / wsum)
@@ -439,13 +451,17 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     def skipped(name, why):
         results.append(CheckResult(name, math.nan, None, None, f"skipped: {why}"))
 
-    # shared surface data (smooth shapes with a sphere lattice only)
+    # shared surface data (smooth shapes with a sphere lattice only): the
+    # samples, their weights and |du/dn| are built once for every check
     stats = None
     if any(n in _BOUNDARY_CHECKS for n in names):
         try:
-            stats = boundary_gradient_stats(u, params)
+            s, w = _weighted_samples(domain, params, 20000)
+            un = boundary_normal_gradient(u, samples=s)
+            stats = _gradient_stats(w, un)
         except UnsupportedShape:  # corners, or a ball with k > 3
             pass
+    energy = functools.cache(lambda: dirichlet_energy_residual(u, params))
 
     mms_err = mms_gerr = None
     if "p_constancy" in names and stats is not None:
@@ -480,16 +496,16 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         elif name == "serrin_constancy":
             judge(name, stats.cv, 1e-2)
         elif name == "dirichlet_energy":
-            pair = dirichlet_energy_residual(u, params)
+            pair = energy()
             extras["dirichlet_energy"] = pair.lhs
             extras["weighted_mass"] = pair.rhs
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "flux_identity":
-            pair = flux_identity_residual(domain, params, grid)
+            pair = _flux_pair(domain, params, grid, s, w)
             extras["weighted_volume"] = pair.lhs / params.dim_eff
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "pohozaev":
-            pair = pohozaev_residual(u, params)
+            pair = _pohozaev_pair(u, params, s, w, un, energy())
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "p_integral":
             pair = p_integral_residual(u, params, c=stats.mean)

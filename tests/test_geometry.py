@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from weinstein.errors import EmptyDomain, UnsupportedShape
@@ -14,6 +16,7 @@ from weinstein.geometry import (
     Ball,
     Box,
     Ellipsoid,
+    GridGeometry,
     StaggeredGrid,
     _ellipsoid_root,
     boundary_samples,
@@ -159,6 +162,49 @@ def test_box_signed_distance_exact_corner():
     assert box.signed_distance(np.array([1.5, 1.5])) == pytest.approx(
         math.sqrt(0.5))
     assert box.signed_distance(np.array([-1.5, 0.0])) == pytest.approx(0.5)
+
+
+@st.composite
+def _ellipsoids_and_points(draw):
+    """An ellipsoid with k = 1..3 and random semi-axes, and points deep
+    inside its evolute, on its boundary, near it and far outside."""
+    k = draw(st.integers(1, 3))
+    semi = np.array(draw(st.lists(st.floats(0.25, 3.0), min_size=k + 1, max_size=k + 1)))
+    center = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    unit = st.floats(-1.0, 1.0)
+    rows = []
+    for scale in (st.floats(0.0, 0.3), st.just(1.0), st.floats(0.9, 1.1),
+                  st.floats(1.5, 10.0), st.floats(0.0, 1.0)):
+        for _ in range(4):
+            w = np.array(draw(st.lists(unit, min_size=k + 1, max_size=k + 1)))
+            w = w / max(np.linalg.norm(w), 1e-300) if w.any() else w
+            rows.append(draw(scale) * w * semi)
+    deep = rows[0].copy()
+    deep[np.argmin(semi)] = 0.0  # on the smallest axis' plane: no Newton root
+    q = np.array(rows + [deep])
+    return Ellipsoid(semi_axes=tuple(semi), center=center), q + np.array([0.0, *center])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_ellipsoids_and_points(), band=st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0, 4.0]))
+def test_ellipsoid_distance_is_exact_within_its_band(case, band):
+    e, pts = case
+    exact = e.signed_distance(pts)
+    got = e.signed_distance(pts, band=band)
+    within = np.abs(exact) <= band
+    assert np.array_equal(got[within], exact[within])
+    assert np.array_equal(np.sign(got[~within]), np.sign(exact[~within]))
+    assert np.all(band < np.abs(got[~within]))
+    assert np.all(np.abs(got[~within]) <= np.abs(exact[~within]))
+
+
+@pytest.mark.parametrize("dom", [Ball(radius=1.3, center=(0.2, -0.1)),
+                                 Box(half_widths=(0.9, 0.6, 1.2), center=(0.2, 0.0))])
+def test_ball_and_box_distances_ignore_the_band(dom):
+    pts = np.random.default_rng(3).uniform(-3.0, 3.0, size=(500, 3))
+    exact = dom.signed_distance(pts)
+    for band in (0.0, 0.01, 0.5):
+        assert np.array_equal(dom.signed_distance(pts, band=band), exact)
 
 
 def test_offset_keeps_r_signed():
@@ -329,6 +375,34 @@ def test_box_volume_fractions_are_exact():
     geo = grid_geometry(dom, grid)
     vol = float(np.sum(geo.volfrac)) * grid.h_r * grid.h_y
     assert vol == pytest.approx(0.5 * 1.5, abs=1e-12)
+
+
+class _ExactEllipsoid(Ellipsoid):
+    """An ellipsoid that computes the Newton distance at every point."""
+
+    def signed_distance(self, x, band=math.inf):
+        return super().signed_distance(x)
+
+
+@pytest.mark.parametrize("semi,center,h", [
+    ((1.0, 2.0), (0.0,), 1 / 48),
+    ((1.4, 0.7), (0.113,), 1 / 40),
+    ((1.0, 1.3, 0.8), (0.05, -0.1), 1 / 16),
+    ((1.0, 1.2, 0.9, 1.1), (0.0, 0.0, 0.0), 1 / 8),
+])
+def test_banded_geometry_matches_the_exact_distance_everywhere(semi, center, h):
+    dom = Ellipsoid(semi_axes=semi, center=center)
+    grid = StaggeredGrid.from_domain(dom, h)
+    geo = GridGeometry(dom, grid)
+    ref = GridGeometry(_ExactEllipsoid(semi_axes=semi, center=center), grid)
+    for name in ("inside", "near", "interior", "volfrac", "donor_flat"):
+        assert np.array_equal(getattr(geo, name), getattr(ref, name)), name
+    for key, theta in ref.cut_theta.items():
+        assert np.array_equal(geo.cut_theta[key], theta, equal_nan=True)
+        assert np.array_equal(geo.cut_points[key], ref.cut_points[key])
+    band = np.abs(ref.sd) <= 2.0 * h
+    assert np.array_equal(geo.sd[band], ref.sd[band])
+    assert not np.array_equal(geo.sd, ref.sd)  # the band saved some Newton solves
 
 
 def test_empty_domain_raises():

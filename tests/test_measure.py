@@ -1,11 +1,12 @@
 """Weighted measures, spherical means, and the fundamental solution.
 
 The closed-form constants are checked against independent quadrature
-oracles built from一 different decompositions of the same integrals, plus
+oracles built from different decompositions of the same integrals, plus
 hand-derived values for the classical cases.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from weinstein.errors import (
     SphereOutsideDomain,
 )
 from weinstein.field import ScalarField
-from weinstein.geometry import Ball, Box, StaggeredGrid
+from weinstein.geometry import Ball, Box, Ellipsoid, StaggeredGrid, sphere_lattice
 from weinstein.measure import (
     aniso_ball_volume,
     aniso_sphere_measure,
@@ -249,6 +250,43 @@ def test_sphere_outside_domain_raises():
     u, _ = solve(assemble_torsion_system(dom, grid, params))
     with pytest.raises(SphereOutsideDomain):
         spherical_mean(u, params, (0.0,), 0.999)
+
+
+def test_sphere_outside_an_ellipsoid_names_the_exact_max_distance():
+    # the containment test reads the distance only near the boundary, but
+    # the message reports the exact maximum, which the bound understates
+    params = WeinsteinParams(a=1.0, k=1)
+    dom = Ellipsoid(semi_axes=(1.0, 2.0), center=(0.0,))
+    grid = StaggeredGrid.from_domain(dom, 1 / 32)
+    field = ScalarField.from_function(dom, grid, lambda pts: pts[..., 0] ** 2)
+    pts = np.array([0.0, 1.0]) + 1.2 * sphere_lattice(1, 400)[0]
+    exact = float(dom.signed_distance(pts).max())
+    bound = float(dom.signed_distance(pts, band=0.0).max())
+    assert f"{bound:.3g}" != f"{exact:.3g}"
+    with pytest.raises(SphereOutsideDomain,
+                       match=re.escape(f"(max signed distance {exact:.3g})")):
+        spherical_mean(field, params, (1.0,), 1.2, n_samples=400)
+
+
+def test_sphere_containment_decides_on_the_exact_distance():
+    # spheres about an off-centre axis point, where the quadric bound is
+    # loose: a sphere is refused exactly when its exact distance says so
+    params = WeinsteinParams(a=1.0, k=1)
+    dom = Ellipsoid(semi_axes=(1.0, 2.0), center=(0.0,))
+    grid = StaggeredGrid.from_domain(dom, 1 / 32)
+    field = ScalarField.from_function(dom, grid, lambda pts: pts[..., 0] ** 2)
+    limit = -0.5 * grid.h_r * math.sqrt(2.0)
+    refused = []
+    for t in np.linspace(0.7, 0.9, 41):
+        pts = np.array([0.0, 1.0]) + t * sphere_lattice(1, 400)[0]
+        outside = bool(np.any(dom.signed_distance(pts) > limit))
+        try:
+            spherical_mean(field, params, (1.0,), t, n_samples=400)
+        except SphereOutsideDomain as exc:  # or a later refusal of the field
+            if "not contained" in str(exc):
+                refused.append(t)
+        assert (t in refused) == outside, t
+    assert 0 < len(refused) < 41
 
 
 def test_field_route_matches_callable_route():

@@ -355,6 +355,43 @@ def test_field_csv_rejects_a_node_named_twice(tmp_path):
         field_from_csv(path, u.grid, u.domain)
 
 
+def test_field_csv_rejects_a_truncated_file(tmp_path):
+    params = WeinsteinParams(a=1.0, k=1)
+    u, _ = _torsion(Ball(1.0), params, 1.0 / 16)
+    path = tmp_path / "u.csv"
+    field_to_csv(u, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 406
+    path.write_text("\n".join(lines[:-50]) + "\n")
+    r, y, _ = lines[-50].split(",")
+    message = f"50 inside nodes have no row, first at {[float(r), float(y)]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        field_from_csv(path, u.grid, u.domain)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+def test_field_csv_rejects_a_header_only_file(tmp_path):
+    dom = Ball(1.0)
+    grid = StaggeredGrid.from_domain(dom, 1.0 / 16)
+    path = tmp_path / "u.csv"
+    path.write_text("r,y1,u\n")
+    with pytest.raises(ValueError, match="^406 inside nodes have no row, first at "):
+        field_from_csv(path, grid, dom)
+
+
+def test_field_csv_rejects_a_node_outside_the_domain(tmp_path):
+    params = WeinsteinParams(a=1.0, k=1)
+    u, _ = _torsion(Ball(1.0), params, 1.0 / 8)
+    path = tmp_path / "u.csv"
+    field_to_csv(u, path)
+    # the lattice corner: on the grid, off the domain
+    r, y = float(u.grid.r_nodes()[-1]), float(u.grid.y_nodes(0)[0])
+    path.write_text(path.read_text() + f"{r!r},{y!r},0.5\n")
+    message = f"1 rows name a node outside the domain, first at {[r, y]}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        field_from_csv(path, u.grid, u.domain)
+
+
 # -- guards -----------------------------------------------------------------------
 
 

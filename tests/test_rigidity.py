@@ -42,6 +42,7 @@ from weinstein import (
     solve,
 )
 from weinstein import operator as operator_module
+from weinstein import rigidity as rigidity_module
 from weinstein.cli import main
 
 
@@ -201,6 +202,31 @@ def test_full_battery_builds_the_matrix_once(monkeypatch):
     assert [c.name for c in report.checks] == list(CHECK_NAMES)
     assert "mms_gradient_error" in report.extras
     assert len(builds) == 1
+
+
+def test_full_battery_probes_the_boundary_once(monkeypatch):
+    # the boundary checks share one set of samples and one |du/dn| probe
+    calls = {"boundary_samples": 0, "boundary_normal_gradient": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (rigidity_module, operator_module):
+        counted(module, "boundary_samples")
+    counted(rigidity_module, "boundary_normal_gradient")
+    report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), PARAMS, h=1.0 / 16)
+    assert [c.name for c in report.checks] == list(CHECK_NAMES)
+    status = {c.name: c.status for c in report.checks}
+    for name in ("serrin_constancy", "dirichlet_energy", "flux_identity",
+                 "pohozaev", "p_integral", "p_constancy"):
+        assert status[name] != "skip", name
+    assert calls == {"boundary_samples": 1, "boundary_normal_gradient": 1}
 
 
 def test_ellipsoid_battery_fails_exactly_the_overdetermined_checks():
