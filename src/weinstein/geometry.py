@@ -425,13 +425,68 @@ def three_point_weights(h_minus, h_plus):
     return first, second
 
 
+class NeighbourTable:
+    """What the stencil on the active nodes owes to the geometry alone
+    (`operator._build` adds the coefficients, which depend on a).
+
+    Row i is the i-th inside node in C order.  Its 2 dim + 1 slots (dim =
+    k+1) run in ascending column order, (r,-), (y1,-) .. (yk,-), diagonal,
+    (yk,+) .. (y1,+), (r,+); (axis, direction) is slot dim + direction *
+    (dim - axis).  A slot holds a neighbour's row (the row itself on the
+    diagonal) unless its arm is cut, folds across r = 0 or has no entry;
+    `present` marks those that do, and `indices`, `indptr` (int32) list
+    them row by row, the CSR structure of A.  `near` are the rows with a
+    cut arm, `weights` per axis the three_point_weights of their arms and
+    `ghost` the near rows whose (r,-) arm folds.  The cut arms, in the
+    order bc_vector sums them (node, axis, minus arm first), give
+    `bc_rows`, `bc_slots` (flat slot index) and `bc_points`.  The arrays
+    that systems share are read-only."""
+
+    def __init__(self, geo):
+        grid = geo.grid
+        dim = grid.k + 1
+        flat = np.flatnonzero(geo.inside)
+        row_of = np.full(grid.n_nodes, -1, dtype=np.int32)
+        row_of[flat] = np.arange(flat.size)
+        strides = np.array([int(np.prod(grid.shape[axis + 1:])) for axis in range(dim)])
+        self.row_r = flat // strides[R_AXIS]
+        # the first r layer's (r,-) index wraps round to the last layer,
+        # where GridGeometry allows no inside node, so that slot is empty
+        neighbour = row_of[flat[:, None] + np.concatenate([-strides, [0], strides[::-1]])]
+        self.present = neighbour >= 0
+        self.indices = neighbour[self.present]
+        self.indptr = np.pad(np.cumsum(self.present.sum(axis=1), dtype=np.int32), (1, 0))
+
+        self.near = np.flatnonzero(geo.near.reshape(-1)[flat])
+        near_flat = flat[self.near]
+        self.weights, bc_rows, bc_slots, bc_points, keys = [], [], [], [], []
+        for axis in range(dim):
+            arms = {d: geo.arm(axis, d) for d in _DIRS}
+            self.weights.append(three_point_weights(arms[-1][0].reshape(-1)[near_flat],
+                                                    arms[1][0].reshape(-1)[near_flat]))
+            for direction in _DIRS:
+                _, cut, points = arms[direction]
+                cut = cut.reshape(-1)[near_flat]
+                if axis == R_AXIS and direction == -1:
+                    self.ghost = ~cut & (self.row_r[self.near] == 0)
+                rows = self.near[cut]
+                bc_rows.append(rows)
+                bc_slots.append(rows * (2 * dim + 1) + dim + direction * (dim - axis))
+                bc_points.append(points)
+                keys.append((rows * dim + axis) * 2 + (direction > 0))
+        order = np.argsort(np.concatenate(keys))
+        self.bc_rows, self.bc_slots, self.bc_points = (
+            np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
+        for array in (self.present, self.indptr, self.indices, self.bc_rows, self.bc_points):
+            array.flags.writeable = False
+
+
 class GridGeometry:
     """Classification of every node of a grid against a domain.
 
     inside          node strictly inside (sd < 0)
-    interior        inside and all 2(k+1) axis neighbors inside
-                    (the mirror neighbor across r = 0 counts as inside)
     near            inside with at least one neighbor across the boundary
+                    (the mirror neighbor across r = 0 counts as inside)
     cut_theta       {(axis, dir): array}, fraction of the step at which the
                     arm crosses the boundary (closed form from
                     `domain.axis_cut`, clipped to [0, 1]), nan if no cut
@@ -446,6 +501,7 @@ class GridGeometry:
                     the volume-fraction band and the sd <= -2h of
                     `gamma.p_subharmonicity_defect`; beyond it only its
                     sign is exact (see `_AxialDomain`)
+    neighbours      the `NeighbourTable`, built on first use
     """
 
     def __init__(self, domain, grid):
@@ -478,23 +534,18 @@ class GridGeometry:
                 self.cut_points[(axis, direction)] = points
                 any_cut |= cut
         self.near = inside & any_cut
-        self.interior = inside & ~any_cut
 
         # no inside node may touch the lattice edge (except across r = 0,
         # where reflection supplies the neighbor)
-        edge = np.zeros(grid.shape, dtype=bool)
-        for axis in range(dim):
-            sl_hi = [slice(None)] * dim
-            sl_hi[axis] = -1
-            edge[tuple(sl_hi)] = True
-            if axis != R_AXIS:
-                sl_lo = [slice(None)] * dim
-                sl_lo[axis] = 0
-                edge[tuple(sl_lo)] = True
-        if (inside & edge).any():
+        if any(np.take(inside, i, axis).any() for axis in range(dim)
+               for i in ((-1,) if axis == R_AXIS else (0, -1))):
             raise EmptyDomain("domain touches the lattice edge; margin too small")
 
         self._build_volume_fractions(pts, sd, fraction_band)
+
+    @functools.cached_property
+    def neighbours(self):
+        return NeighbourTable(self)
 
     def arm(self, axis, direction):
         """Shortley-Weller arm of every node along (axis, direction).

@@ -14,17 +14,16 @@ implement the same zero weighted flux through the axis.
 
 Rows whose arms cross the boundary switch to the nondivergence form with
 3-point unequal-arm (Shortley-Weller) stencils and the Dirichlet value at
-the cut point.  Both kinds of row are built as arrays, one pass per axis
-(and direction); the arms come from `GridGeometry.arm` and the weights
-from `three_point_weights`, which the derivative stencils in
-`differential` read as well.  Interior rows are symmetric in the
-weighted inner product <u, v> = sum u v V_i h^k; cut rows are not.
+the cut point.  Interior rows are symmetric in the weighted inner
+product <u, v> = sum u v V_i h^k; cut rows are not.  An assembly computes
+only the coefficients, which depend on a; the rows and columns of A, the
+arm weights and the cut arms come from the geometry's `NeighbourTable`.
 
 `assemble_torsion_system` returns one `SparseSystem`, which owns A and
 the Dirichlet couplings of the cut arms; `SparseSystem.with_data` gives
 the system for other data on the same matrix.  No matrix is cached: one
-lives as long as the systems that hold it (only the grid geometry is
-cached, in `geometry.grid_geometry`).
+lives as long as the systems that hold it (the grid geometry and its
+table are cached, in `geometry.grid_geometry`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import scipy.sparse as sp
 from .differential import gradient_fields
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
 from .field import ScalarField, on_points
-from .geometry import R_AXIS, boundary_samples, grid_geometry, three_point_weights
+from .geometry import R_AXIS, boundary_samples, grid_geometry
 from .measure import r_cell_measure
 
 
@@ -53,7 +52,8 @@ class SparseSystem:
     The system owns the Dirichlet couplings coeff * g(point) of its cut
     arms: bc_rows, bc_coeffs and bc_points, ordered by (node, axis, minus
     arm before plus arm), the order bc_vector sums them in.  `with_data`
-    reuses A and the couplings for other data; no matrix is cached."""
+    reuses A and the couplings for other data; no matrix is cached.  A's
+    index arrays, bc_rows and bc_points are read-only `NeighbourTable` arrays."""
 
     A: sp.csr_matrix
     b: np.ndarray
@@ -82,8 +82,9 @@ class SparseSystem:
     def with_data(self, rhs, dirichlet):
         """The system for L_a u = rhs with Dirichlet data `dirichlet` on the
         same A and couplings; each is a constant or a callable on points."""
-        pts = self.grid.node_points()[grid_geometry(self.domain, self.grid).inside]
-        b = on_points(rhs, pts) - self.bc_vector(dirichlet)
+        inside = grid_geometry(self.domain, self.grid).inside
+        rhs = on_points(rhs, self.grid.node_points()[inside]) if callable(rhs) else float(rhs)
+        b = rhs - self.bc_vector(dirichlet)
         return dataclasses.replace(self, b=b, dirichlet=dirichlet)
 
     def field_from_vector(self, vec):
@@ -94,21 +95,10 @@ class SparseSystem:
 
 def _build(domain, grid, params) -> SparseSystem:
     """Matrix and boundary couplings of L_a on the active nodes of a grid,
-    as a system that holds no data yet (b and dirichlet are None)."""
-    geo = grid_geometry(domain, grid)
+    as a system that holds no data yet (b and dirichlet are None).  The
+    values fill the table's slots; A's data are the slots with a neighbour."""
+    table = grid_geometry(domain, grid).neighbours
     dim = grid.k + 1
-    shape = grid.shape
-    n_nodes = grid.n_nodes
-
-    flat_active = np.flatnonzero(geo.inside.reshape(-1))
-    n_active = flat_active.size
-    row_of = np.full(n_nodes, -1, dtype=np.int64)
-    row_of[flat_active] = np.arange(n_active)
-
-    strides = np.array(
-        [int(np.prod(shape[d + 1 :], dtype=np.int64)) for d in range(dim)], dtype=np.int64
-    )
-
     h = grid.h_r
     a = params.a
     m_r = r_cell_measure(grid, params)
@@ -121,82 +111,37 @@ def _build(domain, grid, params) -> SparseSystem:
     c_minus[0] = 0.0  # zero weighted flux through r = 0 (reflection)
     hy2 = grid.h_y**2
 
-    rows, cols, vals = [], [], []
-    # interior rows: flux form, vectorized
-    idx = np.argwhere(geo.interior)
-    if idx.size:
-        flat = idx @ strides
-        r_i = idx[:, 0]
-        diag = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
-        rows.append(row_of[flat])
-        cols.append(row_of[flat])
-        vals.append(diag)
+    # interior rows: flux form, written on every row and overwritten on the near rows
+    r_i = table.row_r
+    vals = np.empty(table.present.shape)
+    vals[:, R_AXIS] = c_minus[r_i]
+    vals[:, -1] = c_plus[r_i]
+    vals[:, dim] = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
+    vals[:, 1:dim] = vals[:, dim + 1:-1] = 1.0 / hy2
 
-        nb = flat + strides[0]
-        rows.append(row_of[flat])
-        cols.append(row_of[nb])
-        vals.append(c_plus[r_i])
-
-        has_minus = r_i > 0
-        nb = flat[has_minus] - strides[0]
-        rows.append(row_of[flat[has_minus]])
-        cols.append(row_of[nb])
-        vals.append(c_minus[r_i[has_minus]])
-
-        for m in range(grid.k):
-            for direction in (1, -1):
-                nb = flat + direction * strides[1 + m]
-                rows.append(row_of[flat])
-                cols.append(row_of[nb])
-                vals.append(np.full(flat.shape, 1.0 / hy2))
-
-    # near-boundary rows: nondivergence Shortley-Weller, one pass per
-    # (axis, direction).  The diagonal sums c_0 axis by axis, the r = 0
-    # ghost right after axis 0's c_0, and the boundary couplings are
-    # sorted by (node, axis, minus before plus): bc_vector sums them in
-    # that order.
-    near_flat = np.flatnonzero(geo.near.reshape(-1))
-    near_row = row_of[near_flat]
-    near_r = np.unravel_index(near_flat, shape)[R_AXIS]
-    diag = np.zeros(near_flat.size)
-    bc_rows, bc_coeffs, bc_points, bc_keys = [], [], [], []
-    for axis in range(dim):
-        arms = {d: geo.arm(axis, d) for d in (1, -1)}
-        first, weights = three_point_weights(arms[-1][0].reshape(-1)[near_flat],
-                                             arms[1][0].reshape(-1)[near_flat])
+    # near-boundary rows: nondivergence Shortley-Weller.  The diagonal sums
+    # c_0 axis by axis, the r = 0 ghost right after axis 0's c_0; a cut
+    # arm's coefficient stays in its slot for bc_coeffs
+    near = table.near
+    ar = a / grid.r_nodes()[r_i[near]]
+    diag = np.zeros(near.size)
+    for axis, (first, second) in enumerate(table.weights):
         if axis == R_AXIS:  # u_rr + (a/r) u_r
-            ar = a / grid.r_nodes()[near_r]
-            weights = [w2 + ar * w1 for w2, w1 in zip(weights, first)]
-        c_m, c_0, c_p = weights
+            second = [w2 + ar * w1 for w2, w1 in zip(second, first)]
+        c_m, c_0, c_p = second
         diag += c_0
-        for direction, c in ((-1, c_m), (1, c_p)):
-            _, cut, cut_pts = arms[direction]
-            cut = cut.reshape(-1)[near_flat]
-            link = ~cut
-            if axis == R_AXIS and direction == -1:
-                # ghost across r = 0: the value u_0 folds into the diagonal
-                ghost = link & (near_r == 0)
-                diag[ghost] += c[ghost]
-                link &= ~ghost
-            rows.append(near_row[link])
-            cols.append(row_of[near_flat[link] + direction * strides[axis]])
-            vals.append(c[link])
-            bc_rows.append(near_row[cut])
-            bc_coeffs.append(c[cut])
-            bc_points.append(cut_pts)
-            bc_keys.append((near_flat[cut] * dim + axis) * 2 + (direction > 0))
-    rows.append(near_row)
-    cols.append(near_row)
-    vals.append(diag)
-    order = np.argsort(np.concatenate(bc_keys))
+        if axis == R_AXIS:
+            diag[table.ghost] += c_m[table.ghost]
+        vals[near, axis] = c_m
+        vals[near, 2 * dim - axis] = c_p
+    vals[near, dim] = diag
 
-    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_active, n_active)).tocsr()
+    A = sp.csr_matrix((vals[table.present], table.indices, table.indptr),
+                      shape=(r_i.size, r_i.size))
     return SparseSystem(
         A=A, b=None, domain=domain, grid=grid, params=params, dirichlet=None,
-        bc_rows=np.concatenate(bc_rows)[order],
-        bc_coeffs=np.concatenate(bc_coeffs)[order],
-        bc_points=np.concatenate(bc_points)[order],
+        bc_rows=table.bc_rows, bc_coeffs=vals.reshape(-1)[table.bc_slots],
+        bc_points=table.bc_points,
     )
 
 
@@ -342,10 +287,14 @@ def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
         header = fh.readline().strip().split(",")
         if len(header) != ncol:
             raise ValueError(f"expected {ncol} columns, found {len(header)}")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if rows.size and rows.shape[1] != ncol:
+        # a file without rows is left to the missing-row check below;
+        # loadtxt would print a warning first
+        start = fh.tell()
+        empty = not any(line.strip() for line in fh)
+        fh.seek(start)
+        rows = np.empty((0, ncol)) if empty else np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.shape[1] != ncol:
         raise ValueError(f"expected {ncol} columns, found {rows.shape[1]}")
-    rows = rows.reshape(-1, ncol)
     coords = rows[:, :-1]
     origin = np.array([0.5 * grid.h_r, *grid.y_start])
     step = np.array([grid.h_r] + [grid.h_y] * grid.k)

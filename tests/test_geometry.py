@@ -1,5 +1,6 @@
 """Shapes, staggered grids, node classification, and surface sampling."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -12,6 +13,7 @@ from scipy import integrate
 from weinstein.errors import EmptyDomain, UnsupportedShape
 from weinstein.params import WeinsteinParams
 from weinstein.geometry import (
+    MARGIN_CELLS,
     NEWTON_MAX_ITER,
     Ball,
     Box,
@@ -395,7 +397,7 @@ def test_banded_geometry_matches_the_exact_distance_everywhere(semi, center, h):
     grid = StaggeredGrid.from_domain(dom, h)
     geo = GridGeometry(dom, grid)
     ref = GridGeometry(_ExactEllipsoid(semi_axes=semi, center=center), grid)
-    for name in ("inside", "near", "interior", "volfrac", "donor_flat"):
+    for name in ("inside", "near", "volfrac", "donor_flat"):
         assert np.array_equal(getattr(geo, name), getattr(ref, name)), name
     for key, theta in ref.cut_theta.items():
         assert np.array_equal(geo.cut_theta[key], theta, equal_nan=True)
@@ -410,6 +412,23 @@ def test_empty_domain_raises():
     with pytest.raises(EmptyDomain):
         grid = StaggeredGrid(h_r=0.2, h_y=0.2, n_r=4, n_y=(4,), y_start=(-0.3,))
         grid_geometry(dom, grid)
+
+
+@pytest.mark.parametrize("axis,edge", [(0, -1), (1, 0), (1, -1), (2, 0), (2, -1)])
+def test_a_domain_on_the_lattice_edge_raises(axis, edge):
+    # the margin taken off one edge leaves inside nodes on it; only the
+    # first r layer may hold them, as its (r,-) neighbour is its mirror
+    dom = Ball(1.0, center=(0.0, 0.0))
+    grid = StaggeredGrid.from_domain(dom, 1 / 8)
+    assert GridGeometry(dom, grid).inside[0].any()
+    if axis == 0:
+        cut = dataclasses.replace(grid, n_r=grid.n_r - MARGIN_CELLS)
+    else:
+        y_start = list(grid.y_start)
+        y_start[axis - 1] += (1 if edge == 0 else -1) * MARGIN_CELLS * grid.h_y
+        cut = dataclasses.replace(grid, y_start=tuple(y_start))
+    with pytest.raises(EmptyDomain, match="lattice edge"):
+        GridGeometry(dom, cut)
 
 
 # ---------------------------------------------------------------------------

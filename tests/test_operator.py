@@ -4,10 +4,13 @@ The scheme must reproduce even quadratics exactly (flux faces and cut
 rows are both exact there), show second order on a manufactured quartic,
 keep the weighted symmetry of the continuous operator on interior nodes,
 and agree with an independently assembled full-plane discretization at
-a = 0, where the axis fold is nothing but even reflection.
+a = 0, where the axis fold is nothing but even reflection.  One neighbour
+table per grid geometry serves every a, bit for bit with the per-node
+reference stencil, and A shares its read-only index arrays.
 """
 
 import gc
+import json
 import re
 import weakref
 
@@ -38,8 +41,12 @@ from weinstein import (
     normal_derivative_at_axis,
     solve,
 )
+from weinstein import geometry
+from weinstein.cli import main
 from weinstein.gamma import BesselWeights, bessel_sum_apply
 from weinstein.measure import r_cell_measure
+
+from test_stencil_reference import _bitwise_equal, _dirichlet, _reference_stencil
 
 
 def _torsion(domain, params, h, tol=1e-12):
@@ -369,7 +376,6 @@ def test_field_csv_rejects_a_truncated_file(tmp_path):
         field_from_csv(path, u.grid, u.domain)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 def test_field_csv_rejects_a_header_only_file(tmp_path):
     dom = Ball(1.0)
     grid = StaggeredGrid.from_domain(dom, 1.0 / 16)
@@ -390,6 +396,82 @@ def test_field_csv_rejects_a_node_outside_the_domain(tmp_path):
     message = f"1 rows name a node outside the domain, first at {[r, y]}"
     with pytest.raises(ValueError, match=re.escape(message)):
         field_from_csv(path, u.grid, u.domain)
+
+
+# -- neighbour table ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k,h", [(1, 1 / 16), (2, 1 / 10), (3, 1 / 6)])
+@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["centred", "shifted"])
+def test_one_table_gives_the_reference_stencil_at_every_a(k, h, shift):
+    # the centred ball has near rows at r = h/2 whose (r,-) arm folds
+    domain = Ball(1.0, center=(shift * h,) + (0.0,) * (k - 1))
+    grid = StaggeredGrid.from_domain(domain, h)
+    table = grid_geometry(domain, grid).neighbours
+    assert table.ghost.any()
+    for a in (0.0, 0.5, 4.0):
+        params = WeinsteinParams(a=a, k=k)
+        A, bc_rows, bc_coeffs, bc_points = _reference_stencil(domain, grid, params)
+        system = assemble_torsion_system(domain, grid, params, dirichlet=_dirichlet)
+        for attr in ("indptr", "indices", "data"):
+            assert _bitwise_equal(getattr(system.A, attr), getattr(A, attr)), (a, attr)
+        assert _bitwise_equal(system.bc_rows, bc_rows)
+        assert _bitwise_equal(system.bc_coeffs, bc_coeffs)
+        assert _bitwise_equal(system.bc_points, bc_points)
+        want = np.zeros(system.n)
+        np.add.at(want, bc_rows, bc_coeffs * _dirichlet(bc_points))
+        assert _bitwise_equal(system.b, -1.0 - want)
+    assert grid_geometry(domain, grid).neighbours is table
+
+
+def test_a_sweep_builds_the_table_once(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(geometry.NeighbourTable):
+        def __init__(self, geo):
+            built.append(geo)
+            super().__init__(geo)
+
+    monkeypatch.setattr(geometry, "NeighbourTable", Counted)
+    grid_geometry.cache_clear()
+    cfg = {
+        "params": {"a": 1.0, "k": 1},
+        "domain": {"type": "ball", "radius": 1.0, "center": [0.0123]},
+        "grid": {"h": 0.0625},
+        "checks": [],
+        "output_dir": str(tmp_path / "s"),
+        "sweep": {"path": "params.a", "values": [0.0, 1.0, 4.0]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert len(built) == 1
+
+
+def test_the_matrix_shares_the_table_indices():
+    domain = Ball(1.0, center=(0.1,))
+    grid = StaggeredGrid.from_domain(domain, 1.0 / 16)
+    table = grid_geometry(domain, grid).neighbours
+    for a in (0.0, 2.0):
+        A = assemble_torsion_system(domain, grid, WeinsteinParams(a=a, k=1)).A
+        assert np.shares_memory(A.indices, table.indices)
+        assert np.shares_memory(A.indptr, table.indptr)
+    assert not (A.indices.flags.writeable or A.indptr.flags.writeable)
+
+
+def test_constant_data_need_no_node_coordinates(monkeypatch):
+    domain = Ellipsoid(semi_axes=(1.0, 1.5), center=(0.05,))
+    grid = StaggeredGrid.from_domain(domain, 1.0 / 16)
+    params = WeinsteinParams(a=1.0, k=1)
+    system = assemble_torsion_system(domain, grid, params, dirichlet=_dirichlet)
+    want = system.with_data(lambda p: np.full(p.shape[:-1], -1.0), 0.0).b
+
+    def refuse(self):
+        raise AssertionError("node_points called")
+
+    monkeypatch.setattr(StaggeredGrid, "node_points", refuse)
+    assert _bitwise_equal(system.with_data(-1.0, 0.0).b, want)
+    assert _bitwise_equal(assemble_torsion_system(domain, grid, params).b, want)
 
 
 # -- guards -----------------------------------------------------------------------

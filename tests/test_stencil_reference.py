@@ -57,7 +57,7 @@ def _reference_stencil(domain, grid, params):
     hy2 = grid.h_y**2
 
     rows, cols, vals = [], [], []
-    idx = np.argwhere(geo.interior)
+    idx = np.argwhere(geo.inside & ~geo.near)
     if idx.size:
         flat = idx @ strides
         r_i = idx[:, 0]
