@@ -2,8 +2,9 @@
 
 Centered stencils at nodes whose neighbors are inside the domain, and
 3-point unequal-arm stencils (using Dirichlet values at the boundary cut
-points) next to the boundary.  Across r = 0 the even/odd reflection of
-the field supplies the missing ghost value, so nothing special happens
+points) next to the boundary; the arms come from the geometry's
+`NeighbourTable`, as assembly's do.  Across r = 0 the even/odd reflection
+of the field supplies the missing ghost value, so nothing special happens
 at the axis.
 """
 
@@ -16,44 +17,35 @@ from .field import ScalarField, on_points
 from .geometry import R_AXIS, grid_geometry, shift, three_point_weights
 
 
-def _arm_values(field, geo, axis):
-    """Per-direction arm lengths and values for 3-point stencils on `axis`.
-
-    Returns (h_plus, v_plus, h_minus, v_minus) arrays over grid.shape;
-    entries are meaningful only at inside nodes.  Boundary cut arms take
-    the field's Dirichlet data; the r < 0 ghost takes the parity reflection.
-    """
+def _three_point(field, axis, order):
+    """Shortley-Weller derivative of the given order (1 or 2) along `axis`
+    as a full-shape array (NaN outside): centred weights on every inside
+    row, the table's unequal-arm weights on its near rows, and on a cut arm
+    the field's Dirichlet data at the table's cut point."""
+    geo = grid_geometry(field.domain, field.grid)
+    table = geo.neighbours
+    dim = field.grid.k + 1
     sign = -1.0 if field.parity == "odd" else 1.0
-    out = []
+    arm_slot = table.bc_slots % (2 * dim + 1)
+    nb = {}
     for direction in (1, -1):
-        arm, cut, cut_pts = geo.arm(axis, direction)
-        nb = shift(field.values, axis, direction, np.nan, sign)
+        nb[direction] = shift(field.values, axis, direction, np.nan, sign)[geo.inside]
+        cut = arm_slot == dim + direction * (dim - axis)
         if cut.any():
             if field.boundary_values is None:
                 raise MissingBoundaryData(
                     f"axis {axis} stencil crosses the boundary but the field "
                     "carries no Dirichlet data"
                 )
-            nb[cut] = on_points(field.boundary_values, cut_pts)
-        out += [arm, nb]
-    return tuple(out)
-
-
-def _three_point(field, axis, order):
-    """Shortley-Weller derivative of the given order (1 or 2) along `axis`
-    as a full-shape array (NaN outside)."""
-    geo = grid_geometry(field.domain, field.grid)
-    hp, vp, hm, vm = _arm_values(field, geo, axis)
-    # centred weights, then unequal-arm ones where an arm is cut: the
-    # weights' pow on every node would triple the cost of a derivative
+            nb[direction][table.bc_rows[cut]] = on_points(field.boundary_values,
+                                                          table.bc_points[cut])
     h = field.grid.step(axis)
-    unequal = (hm != h) | (hp != h)
-    weights = [np.full(hm.shape, c) for c in three_point_weights(h, h)[order - 1]]
-    for full, part in zip(weights, three_point_weights(hm[unequal], hp[unequal])[order - 1]):
-        full[unequal] = part
+    weights = [np.full(table.row_r.size, c) for c in three_point_weights(h, h)[order - 1]]
+    for full, part in zip(weights, table.weights[axis][order - 1]):
+        full[table.near] = part
     w_m, w_0, w_p = weights
-    d = w_m * vm + w_0 * field.values + w_p * vp
-    d[~geo.inside] = np.nan
+    d = np.full(field.grid.shape, np.nan)
+    d[geo.inside] = w_m * nb[-1] + w_0 * field.values[geo.inside] + w_p * nb[1]
     return d
 
 

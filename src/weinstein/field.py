@@ -54,9 +54,8 @@ class ScalarField:
         data at boundary cut points (the natural choice for injected
         analytic fields)."""
         geo = grid_geometry(domain, grid)
-        pts = grid.node_points()
         vals = np.full(grid.shape, np.nan)
-        vals[geo.inside] = np.asarray(fn(pts[geo.inside]), dtype=float)
+        vals[geo.inside] = np.asarray(fn(grid.points_at(geo.inside)), dtype=float)
         if boundary_values is None:
             boundary_values = fn
         return cls(grid=grid, domain=domain, values=vals,

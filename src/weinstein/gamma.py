@@ -274,7 +274,7 @@ def quadratic_equality_fit(u, sample=None) -> QuadraticFit:
     """
     if isinstance(u, ScalarField):
         geo = u.geometry
-        pts = u.grid.node_points()[geo.inside]
+        pts = u.grid.points_at(geo.inside)
         vals = u.values[geo.inside]
         k = u.grid.k
     else:

@@ -397,6 +397,12 @@ class StaggeredGrid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def points_at(self, mask):
+        """Coordinates of the nodes where `mask` holds, shape (n, k+1) in C
+        order: the floats of node_points()[mask], gathered from the axes
+        without the full-lattice meshgrid."""
+        return np.stack([axis[i] for axis, i in zip(self.axes(), np.nonzero(mask))], axis=-1)
+
     def step(self, axis):
         """Lattice spacing along `axis`."""
         return self.h_r if axis == R_AXIS else self.h_y
@@ -426,8 +432,9 @@ def three_point_weights(h_minus, h_plus):
 
 
 class NeighbourTable:
-    """What the stencil on the active nodes owes to the geometry alone
-    (`operator._build` adds the coefficients, which depend on a).
+    """What the stencils on the active nodes owe to the geometry alone, for
+    assembly (`operator._build` adds the coefficients, which depend on a)
+    and the derivatives (`differential._three_point`).
 
     Row i is the i-th inside node in C order.  Its 2 dim + 1 slots (dim =
     k+1) run in ascending column order, (r,-), (y1,-) .. (yk,-), diagonal,
@@ -436,11 +443,14 @@ class NeighbourTable:
     diagonal) unless its arm is cut, folds across r = 0 or has no entry;
     `present` marks those that do, and `indices`, `indptr` (int32) list
     them row by row, the CSR structure of A.  `near` are the rows with a
-    cut arm, `weights` per axis the three_point_weights of their arms and
-    `ghost` the near rows whose (r,-) arm folds.  The cut arms, in the
-    order bc_vector sums them (node, axis, minus arm first), give
-    `bc_rows`, `bc_slots` (flat slot index) and `bc_points`.  The arrays
-    that systems share are read-only."""
+    cut arm and `ghost` the near rows whose (r,-) arm folds.  The table is
+    the one place a cut arm is found and measured: a near row's arm with no
+    neighbour that does not fold is cut at the fraction theta of the step
+    given by `domain.axis_cut`, clipped to [0, 1], and is max(theta,
+    ARM_FLOOR) steps long.  `weights` per axis are the three_point_weights
+    of the near rows' arms.  The cut arms, in the order bc_vector sums them
+    (node, axis, minus arm first), give `bc_rows`, `bc_slots` (flat slot
+    index) and `bc_points`.  The arrays that systems share are read-only."""
 
     def __init__(self, geo):
         grid = geo.grid
@@ -458,22 +468,28 @@ class NeighbourTable:
         self.indptr = np.pad(np.cumsum(self.present.sum(axis=1), dtype=np.int32), (1, 0))
 
         self.near = np.flatnonzero(geo.near.reshape(-1)[flat])
-        near_flat = flat[self.near]
+        self.ghost = self.row_r[self.near] == 0  # the mirror across r = 0 is inside
+        near_points = grid.points_at(geo.near)
         self.weights, bc_rows, bc_slots, bc_points, keys = [], [], [], [], []
         for axis in range(dim):
-            arms = {d: geo.arm(axis, d) for d in _DIRS}
-            self.weights.append(three_point_weights(arms[-1][0].reshape(-1)[near_flat],
-                                                    arms[1][0].reshape(-1)[near_flat]))
+            h = grid.step(axis)
+            arms = {}
             for direction in _DIRS:
-                _, cut, points = arms[direction]
-                cut = cut.reshape(-1)[near_flat]
+                slot = dim + direction * (dim - axis)
+                cut = ~self.present[self.near, slot]
                 if axis == R_AXIS and direction == -1:
-                    self.ghost = ~cut & (self.row_r[self.near] == 0)
+                    cut &= ~self.ghost
+                points = near_points[cut]
+                theta = np.clip(geo.domain.axis_cut(points, axis, direction, h), 0.0, 1.0)
+                points[:, axis] += theta * (direction * h)
+                arms[direction] = np.full(self.near.size, h)
+                arms[direction][cut] = np.maximum(theta, ARM_FLOOR) * h
                 rows = self.near[cut]
                 bc_rows.append(rows)
-                bc_slots.append(rows * (2 * dim + 1) + dim + direction * (dim - axis))
+                bc_slots.append(rows * (2 * dim + 1) + slot)
                 bc_points.append(points)
                 keys.append((rows * dim + axis) * 2 + (direction > 0))
+            self.weights.append(three_point_weights(arms[-1], arms[1]))
         order = np.argsort(np.concatenate(keys))
         self.bc_rows, self.bc_slots, self.bc_points = (
             np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
@@ -487,11 +503,6 @@ class GridGeometry:
     inside          node strictly inside (sd < 0)
     near            inside with at least one neighbor across the boundary
                     (the mirror neighbor across r = 0 counts as inside)
-    cut_theta       {(axis, dir): array}, fraction of the step at which the
-                    arm crosses the boundary (closed form from
-                    `domain.axis_cut`, clipped to [0, 1]), nan if no cut
-    cut_points      {(axis, dir): (n_cut, k+1) array}, where the cut arms
-                    of the cut nodes (in C order) meet the boundary
     volfrac         fraction of each node's cell covered by the domain,
                     from a local planar model of the boundary
     donor_flat      for covered cells whose center is outside: flat index of
@@ -501,7 +512,8 @@ class GridGeometry:
                     the volume-fraction band and the sd <= -2h of
                     `gamma.p_subharmonicity_defect`; beyond it only its
                     sign is exact (see `_AxialDomain`)
-    neighbours      the `NeighbourTable`, built on first use
+    neighbours      the `NeighbourTable`, built on first use; it finds and
+                    measures the cut arms of the near nodes
     """
 
     def __init__(self, domain, grid):
@@ -518,21 +530,10 @@ class GridGeometry:
         self.inside = inside
 
         dim = grid.k + 1
-        self.cut_theta, self.cut_points = {}, {}
         any_cut = np.zeros(grid.shape, dtype=bool)
         for axis in range(dim):
-            h = grid.step(axis)
             for direction in _DIRS:
-                cut = inside & ~shift(inside, axis, direction, False)
-                theta = np.full(grid.shape, np.nan)
-                points = pts[cut]
-                t = np.clip(domain.axis_cut(points, axis, direction, h), 0.0, 1.0)
-                theta[cut] = t
-                points[:, axis] += t * (direction * h)
-                points.flags.writeable = False  # shared by every arm() caller
-                self.cut_theta[(axis, direction)] = theta
-                self.cut_points[(axis, direction)] = points
-                any_cut |= cut
+                any_cut |= ~shift(inside, axis, direction, False)
         self.near = inside & any_cut
 
         # no inside node may touch the lattice edge (except across r = 0,
@@ -546,19 +547,6 @@ class GridGeometry:
     @functools.cached_property
     def neighbours(self):
         return NeighbourTable(self)
-
-    def arm(self, axis, direction):
-        """Shortley-Weller arm of every node along (axis, direction).
-
-        Returns the arm length over grid.shape (the step, or
-        max(theta, ARM_FLOOR) times the step where the arm is cut), the cut
-        mask, and the cut points of the cut nodes in C order."""
-        h = self.grid.step(axis)
-        theta = self.cut_theta[(axis, direction)]
-        cut = np.isfinite(theta)
-        length = np.full(self.grid.shape, h)
-        length[cut] = np.maximum(theta[cut], ARM_FLOOR) * h
-        return length, cut, self.cut_points[(axis, direction)]
 
     def _build_volume_fractions(self, pts, sd, fraction_band):
         grid, domain = self.grid, self.domain

@@ -118,8 +118,7 @@ def weighted_volume_integral(field, params, domain=None, grid=None, coarse_field
         vals = np.where(covered, vals, 0.0)
     elif callable(field):
         vals = np.zeros(grid.shape)
-        pts = grid.node_points()
-        vals[covered] = np.asarray(field(pts[covered]), dtype=float)
+        vals[covered] = np.asarray(field(grid.points_at(covered)), dtype=float)
     else:
         vals = np.where(covered, float(field), 0.0)
 

@@ -83,7 +83,7 @@ class SparseSystem:
         """The system for L_a u = rhs with Dirichlet data `dirichlet` on the
         same A and couplings; each is a constant or a callable on points."""
         inside = grid_geometry(self.domain, self.grid).inside
-        rhs = on_points(rhs, self.grid.node_points()[inside]) if callable(rhs) else float(rhs)
+        rhs = on_points(rhs, self.grid.points_at(inside)) if callable(rhs) else float(rhs)
         b = rhs - self.bc_vector(dirichlet)
         return dataclasses.replace(self, b=b, dirichlet=dirichlet)
 

@@ -360,7 +360,7 @@ def _manufactured_gradient_error(system, solver_tol, max_iter):
     )
     v_h, _ = solve(quartic, tol=solver_tol, max_iter=max_iter)
     geo = v_h.geometry
-    q = domain.offset(grid.node_points()[geo.inside])  # the errors read no other node
+    q = domain.offset(grid.points_at(geo.inside))  # the errors read no other node
     err = float(np.max(np.abs(v_h.values[geo.inside] - v.eval_float(q))))
 
     grads_h = gradient_fields(v_h)
@@ -483,8 +483,8 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
                                            "defined for balls only"))
                 continue
             geo = u.geometry
-            u_exact = exact[0](grid.node_points())
-            value = float(np.max(np.abs(u.values[geo.inside] - u_exact[geo.inside])))
+            u_exact = exact[0](grid.points_at(geo.inside))
+            value = float(np.max(np.abs(u.values[geo.inside] - u_exact)))
             judge(name, value, 5e-3)
         elif name == "boundary_gradient_mean":
             if exact is None:

@@ -26,6 +26,8 @@ from weinstein.geometry import (
     sphere_lattice,
 )
 
+from test_stencil_reference import _bitwise_equal, _cut_arms
+
 
 # ---------------------------------------------------------------------------
 # signed distances
@@ -254,18 +256,26 @@ def test_grid_is_staggered_off_axis_and_symmetric():
     assert np.max(np.abs(mids + mids[::-1])) < 1e-12
 
 
+@pytest.mark.parametrize("dom,h", [
+    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1 / 40),
+    (Ball(radius=1.0, center=(0.02, -0.03)), 1 / 12),
+    (Ball(radius=1.0, center=(0.0, 0.0, 0.0)), 1 / 8),
+])
+def test_points_at_are_the_node_points_of_the_mask(dom, h):
+    grid = StaggeredGrid.from_domain(dom, h)
+    geo = grid_geometry(dom, grid)
+    pts = grid.node_points()
+    for mask in (geo.inside, geo.near, geo.volfrac > 0, np.zeros(grid.shape, dtype=bool)):
+        assert _bitwise_equal(grid.points_at(mask), pts[mask])
+
+
 def test_cut_fraction_solves_boundary_crossing():
     dom = Ball(radius=1.0, center=(0.0,))
     grid = StaggeredGrid.from_domain(dom, 1 / 16)
     geo = grid_geometry(dom, grid)
-    pts = grid.node_points()
     checked = 0
-    for (axis, direction), theta in geo.cut_theta.items():
-        idx = np.argwhere(np.isfinite(theta) & (theta > 0) & (theta < 1))
-        for index in idx[:5]:
-            t = theta[tuple(index)]
-            p = pts[tuple(index)].copy()
-            p[axis] += direction * t * (grid.h_r if axis == 0 else grid.h_y)
+    for axis, direction, rows, theta, points in _cut_arms(geo):
+        for p in points[(theta > 0) & (theta < 1)][:5]:
             assert abs(dom.signed_distance(p)) < 1e-8
             checked += 1
     assert checked > 0
@@ -303,16 +313,17 @@ def test_cut_theta_matches_bisection_on_grid_cut_nodes(name):
     h = 1 / 40 if dom.k == 1 else 1 / 16
     grid = StaggeredGrid.from_domain(dom, h)
     geo = grid_geometry(dom, grid)
-    pts = grid.node_points()
-    assert len(geo.cut_theta) == 2 * (dom.k + 1)
-    for (axis, direction), theta in geo.cut_theta.items():
-        cut = np.isfinite(theta)
+    nodes = grid.points_at(geo.inside)
+    arms = list(_cut_arms(geo))
+    assert len(arms) == 2 * (dom.k + 1)
+    for axis, direction, rows, _, points in arms:
         if (axis, direction) == (0, -1):
-            assert not cut.any()  # the mirror neighbor across r = 0 is inside
+            assert not rows.size  # the mirror neighbor across r = 0 is inside
             continue
-        assert cut.any()
-        want = _bisect_cut(dom, pts[cut], axis, direction, h)
-        assert np.max(np.abs(theta[cut] - want)) <= 1e-12
+        assert rows.size
+        want = nodes[rows].copy()
+        want[:, axis] += direction * h * _bisect_cut(dom, nodes[rows], axis, direction, h)
+        assert np.max(np.abs(points - want)) <= 1e-12 * h
 
 
 @pytest.mark.parametrize("name", list(_CUT_DOMAINS))
@@ -399,9 +410,10 @@ def test_banded_geometry_matches_the_exact_distance_everywhere(semi, center, h):
     ref = GridGeometry(_ExactEllipsoid(semi_axes=semi, center=center), grid)
     for name in ("inside", "near", "volfrac", "donor_flat"):
         assert np.array_equal(getattr(geo, name), getattr(ref, name)), name
-    for key, theta in ref.cut_theta.items():
-        assert np.array_equal(geo.cut_theta[key], theta, equal_nan=True)
-        assert np.array_equal(geo.cut_points[key], ref.cut_points[key])
+    for name in ("bc_rows", "bc_slots", "bc_points"):
+        assert _bitwise_equal(getattr(geo.neighbours, name), getattr(ref.neighbours, name)), name
+    for got, want in zip(geo.neighbours.weights, ref.neighbours.weights):
+        assert _bitwise_equal(np.array(got), np.array(want))
     band = np.abs(ref.sd) <= 2.0 * h
     assert np.array_equal(geo.sd[band], ref.sd[band])
     assert not np.array_equal(geo.sd, ref.sd)  # the band saved some Newton solves

@@ -34,6 +34,7 @@ from weinstein import (
     boundary_gradient_stats,
     dirichlet_energy_residual,
     flux_identity_residual,
+    grid_geometry,
     maximum_principle_check,
     p_integral_residual,
     pohozaev_residual,
@@ -366,3 +367,20 @@ def test_ball_runs_reproduce_the_profile_or_name_the_solver_failure(a, ball_h):
         path.write_text(json.dumps(dict(cfg, output_dir=str(Path(tmp) / "out"))))
         assert main(["solve", "--config", str(path)]) == 3
     assert f"solver failure: {report.failure}\n" in err.getvalue()
+
+
+def test_the_calibration_and_the_exact_profile_build_no_lattice_meshgrid(monkeypatch):
+    # the geometry evaluates the distance at every lattice node; after it,
+    # both read the coordinates of the inside nodes alone
+    domain, params, h = Ball(1.0, center=(0.0,)), WeinsteinParams(a=1.0, k=1), 1 / 16
+    checks = ["explicit_solution", "p_constancy"]
+    want = run_experiment(domain, params, h, checks=checks)
+    grid_geometry(domain, StaggeredGrid.from_domain(domain, h))
+
+    def refuse(self):
+        raise AssertionError("node_points called")
+
+    monkeypatch.setattr(StaggeredGrid, "node_points", refuse)
+    got = run_experiment(domain, params, h, checks=checks)
+    assert [c.value for c in got.checks] == [c.value for c in want.checks]
+    assert got.extras["mms_gradient_error"] == want.extras["mms_gradient_error"]

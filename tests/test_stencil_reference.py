@@ -4,9 +4,13 @@
 used to assemble near-boundary rows with, and `_reference_csv` the
 per-row f-string writer.  The array code must reproduce both bit for bit:
 the matrix arrays, the boundary couplings in their summation order, the
-right-hand side, and the bytes of the file.  `_reference_derivatives` is
-the numerator/denominator form the derivative stencils used before they
-read `three_point_weights`; the two agree up to rounding.
+right-hand side, and the bytes of the file.  `_reference_three_point` is
+the full-lattice path the derivatives took before they read the
+`NeighbourTable`: shifted neighbour values and an arm length per lattice
+node, from cut fractions over whole-lattice arrays; the derivatives must
+reproduce it bit for bit.  `_reference_derivatives` is the
+numerator/denominator form the derivative stencils used before they read
+`three_point_weights`; the two agree up to rounding.
 `_reference_donors` is the per-node loop that picked the donor of each
 covered cell whose centre is outside; the array code must pick the same.
 """
@@ -29,14 +33,19 @@ from weinstein import (
     field_to_csv,
     grid_geometry,
 )
-from weinstein.differential import _arm_values, axis_derivative, axis_second_derivative
-from weinstein.geometry import ARM_FLOOR, R_AXIS, three_point_weights
+from weinstein.differential import axis_derivative, axis_second_derivative
+from weinstein.errors import MissingBoundaryData
+from weinstein.field import on_points
+from weinstein.geometry import ARM_FLOOR, R_AXIS, shift, three_point_weights
 from weinstein.measure import r_cell_measure
 from weinstein.operator import CSV_BLOCK_ROWS
 
 
 def _reference_stencil(domain, grid, params):
-    """(A, bc_rows, bc_coeffs, bc_points) assembled node by node."""
+    """(A, bc_rows, bc_coeffs, bc_points) assembled node by node.  An arm
+    is cut where its neighbour is outside (the mirror across r = 0 is the
+    node itself), and its fraction of the step is `domain.axis_cut` at the
+    node, clipped to [0, 1]."""
     geo = grid_geometry(domain, grid)
     dim = grid.k + 1
     shape = grid.shape
@@ -85,17 +94,18 @@ def _reference_stencil(domain, grid, params):
             step = h if axis == R_AXIS else grid.h_y
             arm = {}
             for direction in (1, -1):
-                theta = geo.cut_theta[(axis, direction)][node_t]
-                if np.isfinite(theta):
+                nb = node.copy()
+                nb[axis] += direction
+                if axis == R_AXIS and direction == -1 and node[0] == 0:
+                    arm[direction] = (step, ("ghost", None))
+                elif geo.inside[tuple(nb)]:
+                    arm[direction] = (step, ("node", int(nb @ strides)))
+                else:
+                    theta = domain.axis_cut(pt[None, :], axis, direction, step)[0]
+                    theta = min(max(theta, 0.0), 1.0)
                     cut_pt = pt.copy()
                     cut_pt[axis] += direction * theta * step
                     arm[direction] = (max(theta, 1e-6) * step, ("bc", cut_pt))
-                elif axis == R_AXIS and direction == -1 and node[0] == 0:
-                    arm[direction] = (step, ("ghost", None))
-                else:
-                    nb = node.copy()
-                    nb[axis] += direction
-                    arm[direction] = (step, ("node", int(nb @ strides)))
             hp, src_p = arm[1]
             hm, src_m = arm[-1]
             den = hm * hp * (hm + hp)
@@ -187,20 +197,103 @@ def test_array_stencil_matches_the_per_node_loop_bitwise(name):
     assert _bitwise_equal(system.b, -1.0 - want)
 
 
+def _cut_arms(geo):
+    """The table's cut arms as (axis, direction, rows, theta, points) per
+    (axis, direction), theta read back from the cut points."""
+    table, grid = geo.neighbours, geo.grid
+    dim = grid.k + 1
+    slot = table.bc_slots % (2 * dim + 1)
+    nodes = grid.points_at(geo.inside)
+    for axis in range(dim):
+        for direction in (1, -1):
+            arm = slot == dim + direction * (dim - axis)
+            rows, points = table.bc_rows[arm], table.bc_points[arm]
+            theta = direction * (points[:, axis] - nodes[rows, axis]) / grid.step(axis)
+            yield axis, direction, rows, theta, points
+
+
 def test_case_list_reaches_the_ghost_the_arm_floor_and_two_cut_arms():
     geo = grid_geometry(*_CASES["ball_k2_a0"][:2])
-    assert (geo.near[0] & np.isnan(geo.cut_theta[(R_AXIS, -1)][0])).any()
+    assert geo.neighbours.ghost.any()
     geo = grid_geometry(*_CASES["grazing_ball"][:2])
-    theta = np.concatenate([t[np.isfinite(t)] for t in geo.cut_theta.values()])
-    assert theta.min() < ARM_FLOOR
+    assert min(theta.min() for *_, theta, _ in _cut_arms(geo) if theta.size) < ARM_FLOOR
     geo = grid_geometry(*_CASES["pinched_ball"][:2])
-    assert (np.isfinite(geo.cut_theta[(1, 1)]) & np.isfinite(geo.cut_theta[(1, -1)])).any()
+    rows = {direction: rows for axis, direction, rows, *_ in _cut_arms(geo) if axis == 1}
+    assert np.intersect1d(rows[1], rows[-1]).size
+
+
+def _reference_arm(geo, axis, direction):
+    """Arm length of every lattice node along (axis, direction), the cut
+    mask and the cut points in C order, from a whole-lattice theta array."""
+    grid, inside = geo.grid, geo.inside
+    h = grid.step(axis)
+    cut = inside & ~shift(inside, axis, direction, False)
+    theta = np.full(grid.shape, np.nan)
+    points = grid.node_points()[cut]
+    t = np.clip(geo.domain.axis_cut(points, axis, direction, h), 0.0, 1.0)
+    theta[cut] = t
+    points[:, axis] += t * (direction * h)
+    length = np.full(grid.shape, h)
+    length[cut] = np.maximum(theta[cut], ARM_FLOOR) * h
+    return length, cut, points
+
+
+def _reference_arm_values(field, geo, axis):
+    """(h_plus, v_plus, h_minus, v_minus) over grid.shape: cut arms take the
+    field's Dirichlet data, the r < 0 ghost the parity reflection."""
+    sign = -1.0 if field.parity == "odd" else 1.0
+    out = []
+    for direction in (1, -1):
+        arm, cut, cut_pts = _reference_arm(geo, axis, direction)
+        nb = shift(field.values, axis, direction, np.nan, sign)
+        if cut.any():
+            nb[cut] = on_points(field.boundary_values, cut_pts)
+        out += [arm, nb]
+    return tuple(out)
+
+
+def _reference_three_point(field, axis, order):
+    """Derivative of the given order over the whole lattice: centred
+    weights, then unequal-arm ones where an arm differs from the step."""
+    geo = grid_geometry(field.domain, field.grid)
+    hp, vp, hm, vm = _reference_arm_values(field, geo, axis)
+    h = field.grid.step(axis)
+    unequal = (hm != h) | (hp != h)
+    weights = [np.full(hm.shape, c) for c in three_point_weights(h, h)[order - 1]]
+    for full, part in zip(weights, three_point_weights(hm[unequal], hp[unequal])[order - 1]):
+        full[unequal] = part
+    w_m, w_0, w_p = weights
+    d = w_m * vm + w_0 * field.values + w_p * vp
+    d[~geo.inside] = np.nan
+    return d
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("name", list(_CASES))
+def test_derivatives_match_the_lattice_path_bitwise(name, parity):
+    domain, grid, _ = _CASES[name]
+    field = ScalarField.from_function(domain, grid, _dirichlet, parity=parity)
+    for axis in range(grid.k + 1):
+        assert _bitwise_equal(axis_derivative(field, axis),
+                              _reference_three_point(field, axis, 1)), axis
+        assert _bitwise_equal(axis_second_derivative(field, axis),
+                              _reference_three_point(field, axis, 2)), axis
+
+
+def test_a_derivative_across_the_boundary_needs_dirichlet_data():
+    domain, grid, _ = _CASES["ellipsoid_k1_shifted"]
+    geo = grid_geometry(domain, grid)
+    values = np.where(geo.inside, _dirichlet(grid.node_points()), np.nan)
+    field = ScalarField(grid=grid, domain=domain, values=values)  # no Dirichlet data
+    for axis in range(grid.k + 1):
+        with pytest.raises(MissingBoundaryData):
+            axis_derivative(field, axis)
 
 
 def _reference_derivatives(field, axis):
     """First and second Shortley-Weller derivatives as one fraction each."""
     geo = grid_geometry(field.domain, field.grid)
-    hp, vp, hm, vm = _arm_values(field, geo, axis)
+    hp, vp, hm, vm = _reference_arm_values(field, geo, axis)
     v0 = field.values
     den = hm * hp * (hm + hp)
     first = (-(hp**2) * vm + (hp**2 - hm**2) * v0 + hm**2 * vp) / den
@@ -216,7 +309,7 @@ def test_derivatives_match_the_fraction_form_to_rounding(name):
     field = ScalarField(grid=grid, domain=domain, values=values, boundary_values=_dirichlet)
     inside = geo.inside
     for axis in range(grid.k + 1):
-        hp, vp, hm, vm = _arm_values(field, geo, axis)
+        hp, vp, hm, vm = _reference_arm_values(field, geo, axis)
         got = (axis_derivative(field, axis), axis_second_derivative(field, axis))
         for weights, new, ref in zip(three_point_weights(hm, hp), got,
                                      _reference_derivatives(field, axis)):
