@@ -2,9 +2,11 @@
 
 A ScalarField stores one value per grid node (NaN at nodes outside the
 domain) plus optional Dirichlet data for the boundary cut points of its
-domain.  Fields carry a parity in r: interpolation below the first node
-layer reflects across r = 0 with sign +1 (even) or -1 (odd), which is what
-the axial symmetry of the problem dictates.
+domain.  Fields carry a parity in r, +1 (even) or -1 (odd), which is what
+the axial symmetry of the problem dictates.  Interpolation reads the
+lattice padded with one mirror layer at r = -h/2, the first layer times
+the parity sign, so a point below the first node layer needs no special
+case.
 """
 
 from __future__ import annotations
@@ -83,61 +85,42 @@ class ScalarField:
     def interpolate(self, points):
         """Multilinear interpolation at arbitrary points.
 
-        Points with |r| below the first node layer use the even/odd
-        reflection across r = 0.  Returns NaN where the interpolation cube
-        is not fully covered by grid values (callers decide whether that
-        is an error)."""
+        The lattice is read with one extra layer at r = -h/2 that holds the
+        first layer times the parity sign (the even/odd reflection across
+        r = 0), so every corner of a point's cell is a lattice node and each
+        of the 2^(k+1) corners is one gather at a fixed flat offset.  The
+        cell is found at |r|; odd fields flip sign where r < 0.  Returns NaN
+        where the interpolation cell is not fully covered by grid values
+        (callers decide whether that is an error)."""
         grid = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        dim = grid.k + 1
+        sign = -1.0 if self.parity == "odd" else 1.0
+        padded = np.concatenate((sign * self.values[:1], self.values))
 
-        idx0 = np.empty((n, dim), dtype=np.int64)
-        frac = np.empty((n, dim))
-        valid = np.ones(n, dtype=bool)
+        scaled = [np.abs(pts[:, 0]) / grid.h_r - 0.5]
+        scaled += [(pts[:, 1 + m] - y0) / grid.h_y for m, y0 in enumerate(grid.y_start)]
+        lower = [np.floor(s) for s in scaled]
+        frac = [s - c for s, c in zip(scaled, lower)]
+        lower[0] += 1  # the mirror layer is padded index 0
+        valid = np.ones(pts.shape[0], dtype=bool)
+        for c, n in zip(lower, padded.shape):
+            valid &= (c >= 0) & (c <= n - 2)
 
-        s = np.abs(pts[:, 0]) / grid.h_r - 0.5
-        i0 = np.floor(s).astype(np.int64)
-        frac[:, 0] = s - i0
-        valid &= i0 + 1 <= grid.n_r - 1
-        valid &= i0 >= -1  # -1 handled by reflection
-        idx0[:, 0] = i0
-
-        for m in range(grid.k):
-            s = (pts[:, 1 + m] - grid.y_start[m]) / grid.h_y
-            j0 = np.floor(s).astype(np.int64)
-            frac[:, 1 + m] = s - j0
-            valid &= (j0 >= 0) & (j0 + 1 <= grid.n_y[m] - 1)
-            idx0[:, 1 + m] = j0
-
-        out = np.full(n, np.nan)
-        if not valid.any():
-            return out if np.asarray(points).ndim > 1 else float(out[0])
-
-        sign_odd = -1.0 if self.parity == "odd" else 1.0
-        vidx = idx0[valid]
-        vfrac = frac[valid]
-        acc = np.zeros(valid.sum())
-        for corner in range(1 << dim):
-            w = np.ones(valid.sum())
-            gather = np.empty_like(vidx)
-            sign = np.ones(valid.sum())
-            for d in range(dim):
+        strides = [stride // padded.itemsize for stride in padded.strides]
+        base = sum(c[valid].astype(np.int64) * stride for c, stride in zip(lower, strides))
+        weights = [(1.0 - f[valid], f[valid]) for f in frac]
+        flat = padded.reshape(-1)
+        acc = 0.0
+        for corner in range(1 << len(strides)):
+            w, offset = 1.0, 0
+            for d, stride in enumerate(strides):
                 bit = (corner >> d) & 1
-                w *= vfrac[:, d] if bit else (1.0 - vfrac[:, d])
-                gi = vidx[:, d] + bit
-                if d == 0:
-                    mirrored = gi < 0
-                    if mirrored.any():
-                        gi = np.where(mirrored, -1 - gi, gi)
-                        sign = np.where(mirrored, sign * sign_odd, sign)
-                gather[:, d] = gi
-            vals = self.values[tuple(gather[:, d] for d in range(dim))]
-            acc = acc + w * sign * vals
-        # the r coordinate was folded to |r| above; odd fields flip sign
-        # on the reflected half
+                w = w * weights[d][bit]
+                offset += bit * stride
+            acc = acc + w * flat[base + offset]
         if self.parity == "odd":
             acc = acc * np.where(pts[valid, 0] < 0, -1.0, 1.0)
+        out = np.full(pts.shape[0], np.nan)
         out[valid] = acc
         if np.asarray(points).ndim == 1:
             return float(out[0])

@@ -353,6 +353,10 @@ class StaggeredGrid:
     y_start: tuple
 
     def __post_init__(self):
+        # cell fractions, the cut band and Box.cell_fraction measure with
+        # one step, so the quadrature needs square cells
+        if self.h_r != self.h_y:
+            raise ValueError(f"h_r = {self.h_r} and h_y = {self.h_y} must be equal")
         object.__setattr__(self, "n_y", tuple(int(n) for n in self.n_y))
         object.__setattr__(self, "y_start", tuple(float(y) for y in self.y_start))
 

@@ -426,6 +426,12 @@ def test_empty_domain_raises():
         grid_geometry(dom, grid)
 
 
+def test_unequal_lattice_steps_are_rejected():
+    # the cell fractions and the cut band measure with one step
+    with pytest.raises(ValueError, match="h_r = 0.05 and h_y = 0.1"):
+        StaggeredGrid(h_r=0.05, h_y=0.1, n_r=24, n_y=(24,), y_start=(-1.15,))
+
+
 @pytest.mark.parametrize("axis,edge", [(0, -1), (1, 0), (1, -1), (2, 0), (2, -1)])
 def test_a_domain_on_the_lattice_edge_raises(axis, edge):
     # the margin taken off one edge leaves inside nodes on it; only the

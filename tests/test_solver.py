@@ -67,7 +67,6 @@ def test_cut_rows_break_symmetry_and_route_to_bicgstab():
     assert report.method == "bicgstab"
     assert report.converged
     assert report.n_unknowns == system.n
-    assert report.wall_time >= 0.0
 
 
 @pytest.mark.parametrize("a", [0.0, 1.0])

@@ -13,6 +13,10 @@ numerator/denominator form the derivative stencils used before they read
 `three_point_weights`; the two agree up to rounding.
 `_reference_donors` is the per-node loop that picked the donor of each
 covered cell whose centre is outside; the array code must pick the same.
+`_reference_interpolate` is the per-corner interpolation that folded each
+corner index across r = 0 and carried a sign per corner, before the
+lattice was read with a mirror layer; the padded gathers must reproduce
+it bit for bit.
 """
 
 import dataclasses
@@ -30,10 +34,12 @@ from weinstein import (
     StaggeredGrid,
     WeinsteinParams,
     assemble_torsion_system,
+    boundary_samples,
     field_to_csv,
     grid_geometry,
+    solve,
 )
-from weinstein.differential import axis_derivative, axis_second_derivative
+from weinstein.differential import axis_derivative, axis_second_derivative, gradient_fields
 from weinstein.errors import MissingBoundaryData
 from weinstein.field import on_points
 from weinstein.geometry import ARM_FLOOR, R_AXIS, shift, three_point_weights
@@ -391,3 +397,99 @@ def test_donors_match_the_per_node_loop(domain, h):
     want = _reference_donors(geo)
     assert (want >= 0).any()
     assert _bitwise_equal(geo.donor_flat, want)
+
+
+def _reference_interpolate(field, points):
+    """Multilinear interpolation corner by corner: a corner index below the
+    first r layer is folded onto it, with the parity sign per corner."""
+    grid = field.grid
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    dim = grid.k + 1
+
+    idx0 = np.empty((n, dim), dtype=np.int64)
+    frac = np.empty((n, dim))
+    valid = np.ones(n, dtype=bool)
+
+    s = np.abs(pts[:, 0]) / grid.h_r - 0.5
+    i0 = np.floor(s).astype(np.int64)
+    frac[:, 0] = s - i0
+    valid &= i0 + 1 <= grid.n_r - 1
+    valid &= i0 >= -1  # -1 handled by reflection
+    idx0[:, 0] = i0
+
+    for m in range(grid.k):
+        s = (pts[:, 1 + m] - grid.y_start[m]) / grid.h_y
+        j0 = np.floor(s).astype(np.int64)
+        frac[:, 1 + m] = s - j0
+        valid &= (j0 >= 0) & (j0 + 1 <= grid.n_y[m] - 1)
+        idx0[:, 1 + m] = j0
+
+    out = np.full(n, np.nan)
+    if not valid.any():
+        return out if np.asarray(points).ndim > 1 else float(out[0])
+
+    sign_odd = -1.0 if field.parity == "odd" else 1.0
+    vidx = idx0[valid]
+    vfrac = frac[valid]
+    acc = np.zeros(valid.sum())
+    for corner in range(1 << dim):
+        w = np.ones(valid.sum())
+        gather = np.empty_like(vidx)
+        sign = np.ones(valid.sum())
+        for d in range(dim):
+            bit = (corner >> d) & 1
+            w *= vfrac[:, d] if bit else (1.0 - vfrac[:, d])
+            gi = vidx[:, d] + bit
+            if d == 0:
+                mirrored = gi < 0
+                if mirrored.any():
+                    gi = np.where(mirrored, -1 - gi, gi)
+                    sign = np.where(mirrored, sign * sign_odd, sign)
+            gather[:, d] = gi
+        vals = field.values[tuple(gather[:, d] for d in range(dim))]
+        acc = acc + w * sign * vals
+    if field.parity == "odd":
+        acc = acc * np.where(pts[valid, 0] < 0, -1.0, 1.0)
+    out[valid] = acc
+    if np.asarray(points).ndim == 1:
+        return float(out[0])
+    return out
+
+
+def _interpolation_points(domain, grid, rng):
+    """Boundary probe points at depths 2h and 4h, the same points with r
+    negated, random points running past the lattice, and points with
+    |r| < h/2, whose cells take their lower r corners from the mirror."""
+    h = grid.h_r
+    samples = boundary_samples(domain, 500)
+    probes = [samples.points - depth * h * samples.normals for depth in (2.0, 4.0)]
+    probes += [p * np.r_[-1.0, np.ones(grid.k)] for p in probes]
+    axes = grid.axes()
+    lo = np.array([-axes[0][-1]] + [y[0] for y in axes[1:]]) - 3.0 * h
+    hi = np.array([y[-1] for y in axes]) + 3.0 * h
+    past = rng.uniform(lo, hi, size=(500, grid.k + 1))
+    near_axis = rng.uniform(lo / 2.0, hi / 2.0, size=(500, grid.k + 1))
+    near_axis[:, 0] = rng.uniform(-0.5 * h, 0.5 * h, size=500)
+    return np.concatenate(probes + [past, near_axis])
+
+
+@pytest.mark.parametrize("domain,h", [
+    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.0037,)), 1 / 24),
+    (Ball(1.0, center=(0.01, 0.0)), 1 / 10),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 6),
+])
+def test_padded_interpolation_matches_the_per_corner_loop_bitwise(domain, h):
+    grid = StaggeredGrid.from_domain(domain, h)
+    system = assemble_torsion_system(domain, grid, WeinsteinParams(a=1.0, k=domain.k))
+    u, _ = solve(system)
+    du_dr, du_dy, *_ = gradient_fields(u)
+    assert (u.parity, du_dr.parity, du_dy.parity) == ("even", "odd", "even")
+    points = _interpolation_points(domain, grid, np.random.default_rng(7))
+    for field in (u, du_dr, du_dy):
+        got = field.interpolate(points)
+        assert _bitwise_equal(got, _reference_interpolate(field, points))
+        assert np.isnan(got).any() and not np.isnan(got).all()
+        point = points[0]
+        assert type(field.interpolate(point)) is float
+        assert _bitwise_equal(field.interpolate(point), _reference_interpolate(field, point))
