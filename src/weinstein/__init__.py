@@ -10,7 +10,6 @@ from .errors import (
     BreakdownDetected,
     ConfigError,
     DegenerateDimension,
-    DegenerateFit,
     EmptyDomain,
     GridTooCoarse,
     MissingBoundaryData,
@@ -25,15 +24,12 @@ from .errors import (
 from .field import ScalarField
 from .gamma import (
     BesselWeights,
-    QuadraticFit,
     bessel_sum_apply,
     cd_defect,
     cd_defect_values,
     gamma,
     gamma2,
     p_function,
-    p_subharmonicity_defect,
-    quadratic_equality_fit,
 )
 from .geometry import (
     Ball,
@@ -46,11 +42,9 @@ from .geometry import (
     sphere_lattice,
 )
 from .measure import (
-    WeightedIntegral,
     aniso_ball_volume,
     aniso_sphere_measure,
     fundamental_solution,
-    radial_field_apply,
     spherical_mean,
     spherical_mean_derivative,
     weighted_volume_integral,
@@ -94,7 +88,6 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "DegenerateDimension",
-    "DegenerateFit",
     "Ellipsoid",
     "EmptyDomain",
     "ExperimentReport",
@@ -107,7 +100,6 @@ __all__ = [
     "ParityViolation",
     "PolyField",
     "PoleEvaluation",
-    "QuadraticFit",
     "ScalarField",
     "SolveReport",
     "SparseSystem",
@@ -115,7 +107,6 @@ __all__ = [
     "StaggeredGrid",
     "StencilLeavesDomain",
     "UnsupportedShape",
-    "WeightedIntegral",
     "WeinsteinError",
     "WeinsteinParams",
     "aniso_ball_volume",
@@ -140,10 +131,7 @@ __all__ = [
     "normal_derivative_at_axis",
     "p_function",
     "p_integral_residual",
-    "p_subharmonicity_defect",
     "pohozaev_residual",
-    "quadratic_equality_fit",
-    "radial_field_apply",
     "run_experiment",
     "serrin_defect",
     "solve",

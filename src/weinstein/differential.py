@@ -1,4 +1,4 @@
-"""Finite-difference derivatives of grid fields.
+"""First derivatives of grid fields by finite differences.
 
 Centered stencils at nodes whose neighbors are inside the domain, and
 3-point unequal-arm stencils (using Dirichlet values at the boundary cut
@@ -17,11 +17,11 @@ from .field import ScalarField, on_points
 from .geometry import R_AXIS, grid_geometry, shift, three_point_weights
 
 
-def _three_point(field, axis, order):
-    """Shortley-Weller derivative of the given order (1 or 2) along `axis`
-    as a full-shape array (NaN outside): centred weights on every inside
-    row, the table's unequal-arm weights on its near rows, and on a cut arm
-    the field's Dirichlet data at the table's cut point."""
+def axis_derivative(field, axis):
+    """Shortley-Weller first derivative along `axis` as a full-shape array
+    (NaN outside): centred weights on every inside row, the table's
+    unequal-arm weights on its near rows, and on a cut arm the field's
+    Dirichlet data at the table's cut point."""
     geo = grid_geometry(field.domain, field.grid)
     table = geo.neighbours
     dim = field.grid.k + 1
@@ -40,23 +40,13 @@ def _three_point(field, axis, order):
             nb[direction][table.bc_rows[cut]] = on_points(field.boundary_values,
                                                           table.bc_points[cut])
     h = field.grid.step(axis)
-    weights = [np.full(table.row_r.size, c) for c in three_point_weights(h, h)[order - 1]]
-    for full, part in zip(weights, table.weights[axis][order - 1]):
+    weights = [np.full(table.row_r.size, c) for c in three_point_weights(h, h)[0]]
+    for full, part in zip(weights, table.weights[axis][0]):
         full[table.near] = part
     w_m, w_0, w_p = weights
     d = np.full(field.grid.shape, np.nan)
     d[geo.inside] = w_m * nb[-1] + w_0 * field.values[geo.inside] + w_p * nb[1]
     return d
-
-
-def axis_derivative(field, axis):
-    """First derivative along one axis as a full-shape array (NaN outside)."""
-    return _three_point(field, axis, 1)
-
-
-def axis_second_derivative(field, axis):
-    """Second derivative along one axis as a full-shape array (NaN outside)."""
-    return _three_point(field, axis, 2)
 
 
 def gradient_fields(field):
@@ -79,26 +69,3 @@ def deep_mask(geo):
         for direction in (1, -1):
             mask = mask & shift(mask, axis, direction, False)
     return mask
-
-
-def mixed_second_derivative(field, axis1, axis2):
-    """Cross derivative by the 4-point centered stencil; valid on deep_mask.
-
-    Uses the parity reflection across r = 0 when axis1 or axis2 is the
-    radial axis and the stencil reaches below the first node layer."""
-    if axis1 == axis2:
-        raise ValueError("use axis_second_derivative for repeated axes")
-    grid = field.grid
-    sign = -1.0 if field.parity == "odd" else 1.0
-    h1 = grid.step(axis1)
-    h2 = grid.step(axis2)
-
-    def shifted(a, axis, direction):
-        return shift(a, axis, direction, np.nan, sign)
-
-    vals = field.values
-    pp = shifted(shifted(vals, axis1, 1), axis2, 1)
-    pm = shifted(shifted(vals, axis1, 1), axis2, -1)
-    mp = shifted(shifted(vals, axis1, -1), axis2, 1)
-    mm = shifted(shifted(vals, axis1, -1), axis2, -1)
-    return (pp - pm - mp + mm) / (4.0 * h1 * h2)

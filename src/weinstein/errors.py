@@ -49,10 +49,6 @@ class ParityViolation(WeinsteinError):
     """Polynomial lacks the evenness required by a weighted operation."""
 
 
-class DegenerateFit(WeinsteinError):
-    """Least-squares model matrix is rank deficient."""
-
-
 class NoConvergence(WeinsteinError):
     """Iterative solve stopped without reaching the residual target.
 

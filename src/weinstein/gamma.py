@@ -16,29 +16,21 @@ curvature-dimension bound
 
 with equality exactly on u = gamma + alpha sum_i (x_i^2 + beta_i x_i),
 beta_i = 0 whenever a_i > 0.  On polynomials with rational coefficients
-everything here is exact; the grid mode computes Gamma, Gamma2, the
-P-function and L_a P with finite differences for solver output.  The
-defect itself (`cd_defect`) is exact only.
+everything here is exact.  The grid mode computes Gamma and the
+P-function of solver output with finite differences; Gamma2 and the
+defect (`cd_defect`) are exact only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .differential import (
-    axis_derivative,
-    axis_second_derivative,
-    deep_mask,
-    gradient_fields,
-    mixed_second_derivative,
-)
-from .errors import DegenerateFit, ParityViolation
+from .differential import gradient_fields
+from .errors import ParityViolation
 from .field import ScalarField
-from .operator import apply_operator
 from .params import WeinsteinParams
 from .poly import PolyField, _as_fraction
 
@@ -126,7 +118,8 @@ def _gamma_poly(u):
     return out
 
 
-def _gamma2_poly(u, weights):
+def gamma2(u: PolyField, weights: BesselWeights) -> PolyField:
+    """Iterated carre du champ as an exact polynomial."""
     _check_weights(weights, u.nvars)
     _, d2, q = _exact_parts(u, weights)
     out = PolyField.zero(u.nvars)
@@ -144,7 +137,7 @@ def cd_defect(u: PolyField, weights: BesselWeights) -> PolyField:
 
     Nonnegative pointwise (for r > 0) by the curvature-dimension bound;
     vanishing identically exactly on the equality family."""
-    g2 = _gamma2_poly(u, weights)
+    g2 = gamma2(u, weights)
     bu = bessel_sum_apply(u, weights)
     return g2 - (bu * bu) * (Fraction(1) / weights.effective_dimension)
 
@@ -160,8 +153,8 @@ def cd_defect_values(u: PolyField, weights, points):
 # ---------------------------------------------------------------------------
 
 
-def _grid_gamma(u: ScalarField):
-    grads = gradient_fields(u)
+def _grid_gamma(u: ScalarField, grads) -> ScalarField:
+    """Gamma(u) from the gradient fields `grads` of u."""
     vals = np.zeros(u.grid.shape)
     for g in grads:
         vals = vals + g.values**2
@@ -169,41 +162,11 @@ def _grid_gamma(u: ScalarField):
                        boundary_values=None, parity="even")
 
 
-def _grid_gamma2(u: ScalarField, params: WeinsteinParams):
-    """Hessian-square plus the axis term, valid on the deep-node mask."""
-    grid = u.grid
-    dim = grid.k + 1
-    mask = deep_mask(u.geometry)
-    vals = np.zeros(grid.shape)
-    for axis in range(dim):
-        vals = vals + axis_second_derivative(u, axis) ** 2
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vals = vals + 2.0 * mixed_second_derivative(u, i, j) ** 2
-    if params.a != 0.0:
-        ur = axis_derivative(u, 0)
-        r = grid.r_nodes().reshape((-1,) + (1,) * grid.k)
-        vals = vals + params.a * (ur / r) ** 2
-    vals = np.where(mask, vals, np.nan)
-    return ScalarField(grid=grid, domain=u.domain, values=vals,
-                       boundary_values=None, parity="even")
-
-
 def gamma(u):
     """Gamma(u) = |grad u|^2: exact polynomial or nodewise grid field."""
     if isinstance(u, PolyField):
         return _gamma_poly(u)
-    return _grid_gamma(u)
-
-
-def gamma2(u, weights):
-    """Iterated carre du champ; exact polynomial, or a grid field valid on
-    nodes with a full finite-difference neighborhood."""
-    if isinstance(u, PolyField):
-        return _gamma2_poly(u, weights)
-    if not isinstance(weights, WeinsteinParams):
-        raise ValueError("grid mode takes WeinsteinParams")
-    return _grid_gamma2(u, weights)
+    return _grid_gamma(u, gradient_fields(u))
 
 
 # ---------------------------------------------------------------------------
@@ -213,95 +176,11 @@ def gamma2(u, weights):
 
 def p_function(u: ScalarField, params: WeinsteinParams) -> ScalarField:
     """P = |grad u|^2 + 2 u / (a+1+k) for a torsion-type field u."""
-    g = _grid_gamma(u)
+    return _p_from_gamma(u, gamma(u), params)
+
+
+def _p_from_gamma(u, g, params):
+    """P from u and its Gamma field g."""
     vals = g.values + 2.0 * u.values / params.dim_eff
     return ScalarField(grid=u.grid, domain=u.domain, values=vals,
                        boundary_values=None, parity="even")
-
-
-@dataclass
-class SubharmonicityReport:
-    field: ScalarField  # L_a P on the deep-node mask (NaN elsewhere)
-    min_value: float
-    n_nodes: int
-    tol: float
-    fraction_below: float  # fraction of evaluated nodes with L_a P < -tol
-
-
-def p_subharmonicity_defect(u: ScalarField, params: WeinsteinParams,
-                            tol: float = 0.0) -> SubharmonicityReport:
-    """L_a P at nodes at least two layers from the boundary.
-
-    For torsion solutions the continuum value is nonnegative (and vanishes
-    identically only in the radial equality case), so negative values
-    beyond discretization noise flag a genuine defect."""
-    P = p_function(u, params)
-    geo = u.geometry
-    mask = deep_mask(geo) & (geo.sd <= -2.0 * u.grid.h_r)
-    lp = apply_operator(P, params, rows_mask=mask)
-    vals = lp.values[mask]
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        return SubharmonicityReport(lp, np.nan, 0, tol, 0.0)
-    below = float(np.mean(vals < -tol))
-    return SubharmonicityReport(lp, float(vals.min()), int(vals.size), tol, below)
-
-
-# ---------------------------------------------------------------------------
-# quadratic equality-case fit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticFit:
-    alpha: float
-    gamma: float
-    y0: Optional[tuple]
-    residual: float  # max-norm misfit over the sample
-
-    def is_equality(self, tol):
-        return self.residual <= tol
-
-
-def quadratic_equality_fit(u, sample=None) -> QuadraticFit:
-    """Least-squares fit of u by alpha (r^2 + |y - y0|^2) + gamma.
-
-    The model is linear in (alpha, b, c) through
-    u ~ alpha (r^2 + |y|^2) + b . y + c with y0 = -b / (2 alpha); a
-    vanishing alpha returns the constant branch with y0 unset.  Accepts a
-    grid field (fit over active nodes) or a polynomial (fit over a fixed
-    lattice of sample points).
-    """
-    if isinstance(u, ScalarField):
-        geo = u.geometry
-        pts = u.grid.points_at(geo.inside)
-        vals = u.values[geo.inside]
-        k = u.grid.k
-    else:
-        k = u.nvars - 1
-        if sample is None:
-            axes = [np.linspace(0.3, 1.5, 5)] + [np.linspace(-1.0, 1.0, 5)] * k
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack(mesh, axis=-1).reshape(-1, k + 1)
-        else:
-            pts = np.asarray(sample, dtype=float)
-        vals = u.eval_float(pts)
-
-    cols = [np.sum(pts**2, axis=-1)]
-    cols += [pts[:, 1 + m] for m in range(k)]
-    cols += [np.ones(pts.shape[0])]
-    M = np.stack(cols, axis=-1)
-    coef, _, rank, _ = np.linalg.lstsq(M, vals, rcond=None)
-    if rank < k + 2:
-        raise DegenerateFit(f"fit matrix has rank {rank} < {k + 2}")
-    alpha = float(coef[0])
-    beta = coef[1 : 1 + k]
-    c = float(coef[-1])
-    residual = float(np.max(np.abs(M @ coef - vals))) if vals.size else 0.0
-
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    if abs(alpha) <= 1e-12 * scale:
-        return QuadraticFit(alpha=0.0, gamma=c, y0=None, residual=residual)
-    y0 = tuple(float(-b / (2.0 * alpha)) for b in beta)
-    gamma_val = c - alpha * float(np.sum(np.asarray(y0) ** 2))
-    return QuadraticFit(alpha=alpha, gamma=gamma_val, y0=y0, residual=residual)

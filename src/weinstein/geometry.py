@@ -425,8 +425,9 @@ def three_point_weights(h_minus, h_plus):
 
     Returns (first, second), each the (minus, centre, plus) weights of a
     3-point stencil exact on quadratics: u' ~ first . (u_-, u_0, u_+) and
-    u'' ~ second . (u_-, u_0, u_+).  The squares are libm pow
-    (np.float_power), which array ** 2 (x * x) differs from in the last bit."""
+    u'' ~ second . (u_-, u_0, u_+).  The derivatives read `first`,
+    assembly both.  The squares are libm pow (np.float_power), which
+    array ** 2 (x * x) differs from in the last bit."""
     hm, hp = h_minus, h_plus
     den = hm * hp * (hm + hp)
     hm2, hp2 = np.float_power(hm, 2.0), np.float_power(hp, 2.0)
@@ -438,7 +439,7 @@ def three_point_weights(h_minus, h_plus):
 class NeighbourTable:
     """What the stencils on the active nodes owe to the geometry alone, for
     assembly (`operator._build` adds the coefficients, which depend on a)
-    and the derivatives (`differential._three_point`).
+    and the first derivatives (`differential.axis_derivative`).
 
     Row i is the i-th inside node in C order.  Its 2 dim + 1 slots (dim =
     k+1) run in ascending column order, (r,-), (y1,-) .. (yk,-), diagonal,
@@ -513,9 +514,9 @@ class GridGeometry:
                     an adjacent inside node to read field values from (-1: none)
     sd              signed distance of every node, exact where |sd| is at
                     most max(1.0001 half cell diagonals, 2h), which covers
-                    the volume-fraction band and the sd <= -2h of
-                    `gamma.p_subharmonicity_defect`; beyond it only its
-                    sign is exact (see `_AxialDomain`)
+                    the volume-fraction band and two node layers inside
+                    the boundary (sd <= -2h); beyond it only its sign is
+                    exact (see `_AxialDomain`)
     neighbours      the `NeighbourTable`, built on first use; it finds and
                     measures the cut arms of the near nodes
     """

@@ -15,7 +15,6 @@ of geometry.sphere_lattice restricted by evenness to |r|^a weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,22 +79,14 @@ def r_cell_measure(grid, params):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedIntegral:
-    value: float
-    estimated_error: float
-
-
-def weighted_volume_integral(field, params, domain=None, grid=None, coarse_field=None):
+def weighted_volume_integral(field, params, domain=None, grid=None):
     """Integral of `field` against |r|^a dx over the half domain {r > 0}.
 
     field may be a ScalarField (domain/grid implied), a callable on points,
     or a numeric constant.  Cells crossed by the boundary contribute their
     covered fraction; covered cells whose center lies outside read the
     value of an adjacent inside node (callables are evaluated in place).
-
-    When coarse_field (same integrand on a coarser grid) is given, the
-    Richardson gap |I_h - I_2h| / 3 is reported as estimated_error.
+    Returns the integral as a float.
     """
     if isinstance(field, ScalarField):
         domain = field.domain
@@ -122,12 +113,7 @@ def weighted_volume_integral(field, params, domain=None, grid=None, coarse_field
     else:
         vals = np.where(covered, float(field), 0.0)
 
-    value = float(np.sum(vals * cell_w))
-    err = 0.0
-    if coarse_field is not None:
-        coarse = weighted_volume_integral(coarse_field, params)
-        err = abs(value - coarse.value) / 3.0
-    return WeightedIntegral(value=value, estimated_error=err)
+    return float(np.sum(vals * cell_w))
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +213,6 @@ def _z_derivation_values(field, center, pts, scale):
         coord = pts[:, axis] if axis == 0 else pts[:, axis] - center[axis - 1]
         z += coord * d
     return z
-
-
-def radial_field_apply(field, center=None):
-    """Apply the radial derivation Z f = r f_r + <y - y0, grad_y f> nodewise.
-
-    Z generates the dilations about (0, y0); div(|r|^a Z) = (a+1+k)|r|^a,
-    which is what makes Z the right vector field for the scaling identities.
-    Returns a ScalarField (even fields stay even: r f_r is even).
-    """
-    if center is None:
-        center = field.domain.y_center
-    center = _axis_center(center, field.grid.k)
-    grads = gradient_fields(field)
-    pts = field.grid.node_points()
-    vals = pts[..., 0] * grads[0].values
-    for m in range(field.grid.k):
-        vals = vals + (pts[..., 1 + m] - center[m]) * grads[1 + m].values
-    return ScalarField(grid=field.grid, domain=field.domain, values=vals,
-                       boundary_values=None, parity=field.parity)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ so a renamed or deleted name must fail here, in the fast suite, and not
 only when the benchmark itself runs.  Both scripts are imported with
 `bench/` on `sys.path`, and every `weinstein` name they import or read an
 attribute of (at any depth, also inside functions) must resolve.
+
+The demos are held to the same names, but only parsed, not run, and
+every entry of `weinstein.__all__` must resolve as well.
 """
 
 import ast
@@ -17,6 +20,7 @@ import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SCRIPTS = ("traced", "child")
+DEMOS = sorted((BENCH.parent / "demos").glob("*.py"))
 
 
 def _weinstein_references(tree):
@@ -65,16 +69,39 @@ def bench_on_path(monkeypatch):
         monkeypatch.delitem(sys.modules, name, raising=False)
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_bench_script_imports_and_its_weinstein_names_resolve(script, bench_on_path):
-    importlib.import_module(script)
-    tree = ast.parse((BENCH / f"{script}.py").read_text())
-    refs = _weinstein_references(tree)
+def _unresolved(path):
+    """`file:line: name` for each weinstein name the script at `path` uses
+    that does not resolve."""
+    refs = _weinstein_references(ast.parse(path.read_text()))
     assert refs, "the script names nothing of weinstein"
     missing = []
     for dotted, line in refs:
         try:
             _resolve(dotted)
         except (AttributeError, ImportError):
-            missing.append(f"{script}.py:{line}: {dotted}")
+            missing.append(f"{path.name}:{line}: {dotted}")
+    return missing
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_bench_script_imports_and_its_weinstein_names_resolve(script, bench_on_path):
+    importlib.import_module(script)
+    missing = _unresolved(BENCH / f"{script}.py")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_weinstein_names_resolve(demo):
+    missing = _unresolved(demo)
+    assert not missing, missing
+
+
+def test_export_list_resolves_without_duplicates():
+    import weinstein
+
+    assert len(set(weinstein.__all__)) == len(weinstein.__all__)
+    missing = [name for name in weinstein.__all__ if not hasattr(weinstein, name)]
+    assert not missing, missing
+    namespace = {}
+    exec("from weinstein import *", namespace)  # import * is module-level only
+    assert set(weinstein.__all__) <= set(namespace)

@@ -1,5 +1,5 @@
 """Carre-du-champ layer: exact rational defects, the dimensional
-inequality, equality-family detection, and grid/polynomial agreement."""
+inequality, equality-family detection, and the grid P-function."""
 
 from fractions import Fraction
 
@@ -8,9 +8,6 @@ import pytest
 
 from weinstein import (
     Ball,
-    Box,
-    DegenerateFit,
-    Ellipsoid,
     BesselWeights,
     ParityViolation,
     PolyField,
@@ -23,8 +20,6 @@ from weinstein import (
     gamma,
     gamma2,
     p_function,
-    p_subharmonicity_defect,
-    quadratic_equality_fit,
     solve,
 )
 
@@ -120,34 +115,7 @@ def test_underlying_weighted_cauchy_schwarz():
     assert np.all(lhs - rhs >= -1e-12 * np.maximum(lhs, 1.0))
 
 
-# -- grid agreement -----------------------------------------------------------
-
-
-def test_grid_gamma2_matches_polynomial_on_quartic():
-    params = WeinsteinParams(a=1.0, k=1)
-    dom = Ball(1.0)
-    h = 1.0 / 32
-    grid = StaggeredGrid.from_domain(dom, h)
-    r, y = PolyField.variable(0, 2), PolyField.variable(1, 2)
-    rho2 = r * r + y * y
-    v = rho2 * rho2
-
-    from weinstein import ScalarField
-
-    u = ScalarField.from_function(dom, grid, v.eval_float)
-    g2_grid = gamma2(u, params)
-    exact = cd_defect(v, BesselWeights.weinstein(params))
-    g2_poly = gamma2(v, BesselWeights.weinstein(params))
-
-    pts = grid.node_points()
-    ref = g2_poly.eval_float(pts)
-    diff = np.abs(g2_grid.values - ref)
-    finite = np.isfinite(g2_grid.values)
-    assert finite.sum() > 100
-    assert np.max(diff[finite]) <= 200.0 * h**2
-    # and the defect stays nonnegative on the same nodes
-    dvals = exact.eval_float(pts[finite])
-    assert np.min(dvals) >= -1e-12
+# -- grid mode ----------------------------------------------------------------
 
 
 def test_p_function_is_constant_on_ball_solution():
@@ -158,59 +126,6 @@ def test_p_function_is_constant_on_ball_solution():
     vals = P.values[np.isfinite(P.values)]
     assert vals.size > 100
     assert np.max(np.abs(vals - c2)) <= 1e-9
-
-
-def test_p_subharmonicity_zero_on_ball_positive_on_ellipsoid():
-    params = WeinsteinParams(a=1.0, k=1)
-    u_ball = _torsion(Ball(1.0), params, 1.0 / 16)
-    rep = p_subharmonicity_defect(u_ball, params, tol=1e-8)
-    assert rep.n_nodes > 50
-    assert abs(rep.min_value) <= 1e-8
-    assert rep.fraction_below == 0.0
-
-    # aspect-2 ellipsoid: the torsion solution is the even quadratic
-    # C (1 - r^2/A^2 - (y)^2/B^2), so L_a P is the positive constant
-    # 4 C^2 (2(1+a)/A^4 + 2/B^4) - 2/N, about 0.1481 here
-    u_ell = _torsion(Ellipsoid(semi_axes=(1.0, 2.0)), params, 1.0 / 16)
-    rep2 = p_subharmonicity_defect(u_ell, params, tol=1e-8)
-    C = 1.0 / (2.0 * 2.0 / 1.0 + 2.0 / 4.0)
-    expected = 4.0 * C**2 * (2.0 * 2.0 / 1.0 + 2.0 / 16.0) - 2.0 / 3.0
-    assert rep2.fraction_below == 0.0
-    assert rep2.min_value == pytest.approx(expected, abs=1e-6)
-    assert rep2.min_value > 0.14
-
-
-# -- equality-case fit ----------------------------------------------------------
-
-
-def test_fit_recovers_ball_profile():
-    params = WeinsteinParams(a=1.0, k=1)
-    u = _torsion(Ball(1.0, center=(0.4,)), params, 1.0 / 16)
-    fit = quadratic_equality_fit(u)
-    N = params.dim_eff
-    assert fit.alpha == pytest.approx(-1.0 / (2.0 * N), abs=1e-10)
-    assert fit.y0 == pytest.approx((0.4,), abs=1e-9)
-    assert fit.gamma == pytest.approx(1.0 / (2.0 * N), abs=1e-10)
-    assert fit.residual <= 1e-9
-    assert fit.is_equality(1e-8)
-
-
-def test_fit_rejects_box_solution():
-    params = WeinsteinParams(a=1.0, k=1)
-    u = _torsion(Box(half_widths=(0.5, 0.5)), params, 1.0 / 16)
-    fit = quadratic_equality_fit(u)
-    assert fit.residual > 1e-3
-    assert not fit.is_equality(1e-8)
-
-
-def test_fit_constant_branch_and_degenerate_sample():
-    c = PolyField.constant(F(7, 2), 2)
-    fit = quadratic_equality_fit(c)
-    assert fit.alpha == 0.0
-    assert fit.y0 is None
-    assert fit.gamma == pytest.approx(3.5)
-    with pytest.raises(DegenerateFit):
-        quadratic_equality_fit(c, sample=[(1.0, 1.0)] * 4)
 
 
 # -- validation -----------------------------------------------------------------

@@ -9,6 +9,7 @@ check battery.  Reference values for the unit ball at a = 1, k = 1:
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -228,6 +229,28 @@ def test_full_battery_probes_the_boundary_once(monkeypatch):
                  "pohozaev", "p_integral", "p_constancy"):
         assert status[name] != "skip", name
     assert calls == {"boundary_samples": 1, "boundary_normal_gradient": 1}
+
+
+def test_full_battery_differentiates_the_solution_twice(monkeypatch):
+    # the boundary probe takes one gradient of u; Gamma = |grad u|^2 is
+    # built once and read by the energy, Pohozaev and both P checks
+    fields = []
+    inner = rigidity_module.gradient_fields
+
+    def counted(field):
+        fields.append(field)
+        return inner(field)
+
+    # `weinstein.gamma` as an attribute is the function, not the module
+    gamma_module = importlib.import_module("weinstein.gamma")
+    for module in (rigidity_module, gamma_module, operator_module):
+        monkeypatch.setattr(module, "gradient_fields", counted)
+    report = run_experiment(Ball(1.0), PARAMS, h=1.0 / 16)
+    status = {c.name: c.status for c in report.checks}
+    assert [c.name for c in report.checks] == list(CHECK_NAMES)
+    for name in ("dirichlet_energy", "pohozaev", "p_integral", "p_constancy"):
+        assert status[name] == "pass", name
+    assert sum(f is report.u for f in fields) == 2
 
 
 def test_ellipsoid_battery_fails_exactly_the_overdetermined_checks():
