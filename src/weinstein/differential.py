@@ -26,11 +26,10 @@ def axis_derivative(field, axis):
     table = geo.neighbours
     dim = field.grid.k + 1
     sign = -1.0 if field.parity == "odd" else 1.0
-    arm_slot = table.bc_slots % (2 * dim + 1)
     nb = {}
     for direction in (1, -1):
         nb[direction] = shift(field.values, axis, direction, np.nan, sign)[geo.inside]
-        cut = arm_slot == dim + direction * (dim - axis)
+        cut = table.bc_slots == dim + direction * (dim - axis)
         if cut.any():
             if field.boundary_values is None:
                 raise MissingBoundaryData(

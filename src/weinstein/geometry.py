@@ -447,15 +447,18 @@ class NeighbourTable:
     (dim - axis).  A slot holds a neighbour's row (the row itself on the
     diagonal) unless its arm is cut, folds across r = 0 or has no entry;
     `present` marks those that do, and `indices`, `indptr` (int32) list
-    them row by row, the CSR structure of A.  `near` are the rows with a
+    them row by row, the CSR structure of A.  `columns` (int32, slot-major,
+    one row per slot) holds each slot's neighbour, the row itself where
+    the slot has none: the column layout of `operator.SlotMatrix`.  Along the last (fastest) lattice axis
+    a neighbour is the next or previous row.  `near` are the rows with a
     cut arm and `ghost` the near rows whose (r,-) arm folds.  The table is
     the one place a cut arm is found and measured: a near row's arm with no
     neighbour that does not fold is cut at the fraction theta of the step
     given by `domain.axis_cut`, clipped to [0, 1], and is max(theta,
     ARM_FLOOR) steps long.  `weights` per axis are the three_point_weights
     of the near rows' arms.  The cut arms, in the order bc_vector sums them
-    (node, axis, minus arm first), give `bc_rows`, `bc_slots` (flat slot
-    index) and `bc_points`.  The arrays that systems share are read-only."""
+    (node, axis, minus arm first), give `bc_rows`, their slots `bc_slots`
+    and `bc_points`.  The arrays that systems share are read-only."""
 
     def __init__(self, geo):
         grid = geo.grid
@@ -471,6 +474,8 @@ class NeighbourTable:
         self.present = neighbour >= 0
         self.indices = neighbour[self.present]
         self.indptr = np.pad(np.cumsum(self.present.sum(axis=1), dtype=np.int32), (1, 0))
+        own = np.arange(flat.size, dtype=np.int32)
+        self.columns = np.where(self.present, neighbour, own[:, None]).T.copy()
 
         self.near = np.flatnonzero(geo.near.reshape(-1)[flat])
         self.ghost = self.row_r[self.near] == 0  # the mirror across r = 0 is inside
@@ -491,14 +496,15 @@ class NeighbourTable:
                 arms[direction][cut] = np.maximum(theta, ARM_FLOOR) * h
                 rows = self.near[cut]
                 bc_rows.append(rows)
-                bc_slots.append(rows * (2 * dim + 1) + slot)
+                bc_slots.append(np.full(rows.size, slot))
                 bc_points.append(points)
                 keys.append((rows * dim + axis) * 2 + (direction > 0))
             self.weights.append(three_point_weights(arms[-1], arms[1]))
         order = np.argsort(np.concatenate(keys))
         self.bc_rows, self.bc_slots, self.bc_points = (
             np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
-        for array in (self.present, self.indptr, self.indices, self.bc_rows, self.bc_points):
+        for array in (self.present, self.indptr, self.indices, self.columns,
+                      self.bc_rows, self.bc_points):
             array.flags.writeable = False
 
 

@@ -19,6 +19,10 @@ product <u, v> = sum u v V_i h^k; cut rows are not.  An assembly computes
 only the coefficients, which depend on a; the rows and columns of A, the
 arm weights and the cut arms come from the geometry's `NeighbourTable`.
 
+A is a `SlotMatrix`: its values sit in the table's 2k+3 slots, one row
+of the values array per slot, zero where the slot has no neighbour, and
+`A @ x` adds the slots' products in ascending column order.
+
 `assemble_torsion_system` returns one `SparseSystem`, which owns A and
 the Dirichlet couplings of the cut arms; `SparseSystem.with_data` gives
 the system for other data on the same matrix.  No matrix is cached: one
@@ -31,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse as sp
 
 from .differential import gradient_fields
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
@@ -45,6 +48,74 @@ from .measure import r_cell_measure
 # ---------------------------------------------------------------------------
 
 
+def slot_product(values, columns, x):
+    """y = A x for A in slot layout: values[s, i] multiplies x[columns[s, i]].
+
+    The 2 dim + 1 slots run in ascending column order, (r,-) .. (yk,-),
+    diagonal, (yk,+) .. (r,+), and a slot without a neighbour holds 0.
+    Row i's (yk,-), diagonal and (yk,+) columns are i - 1, i and i + 1, so
+    those slots read x as shifted slices; the others gather by `columns`.
+    Each row adds its slots' products in slot order, as a CSR product adds
+    a row's entries, so on finite x, y is bit for bit that product (save
+    the sign of a row sum that is exactly zero)."""
+    mid = values.shape[0] // 2
+    term = np.empty_like(x)
+    y = x.take(columns[0], mode="wrap")
+    y *= values[0]
+    for s in range(1, values.shape[0]):
+        if s == mid - 1:
+            y[1:] += np.multiply(values[s, 1:], x[:-1], out=term[1:])
+        elif s == mid:
+            y += np.multiply(values[s], x, out=term)
+        elif s == mid + 1:
+            y[:-1] += np.multiply(values[s, :-1], x[1:], out=term[:-1])
+        else:
+            x.take(columns[s], mode="wrap", out=term)
+            term *= values[s]
+            y += term
+    return y
+
+
+class SlotMatrix:
+    """A on the active nodes of a grid, in its `NeighbourTable`'s slot layout.
+
+    `values` has one row per slot and one column per matrix row, zero where
+    the table's slot has no neighbour (a cut arm's coefficient is kept only
+    in the system's bc_coeffs); `table.columns` gives the columns.  The CSR
+    views `data`, `indices` and `indptr` list the present slots row by row;
+    the last two are the table's read-only arrays.  `hierarchy` holds the
+    solver's V-cycle levels for this matrix once a k = 1 solve has built
+    them (None before), so every system on the matrix shares them."""
+
+    def __init__(self, values, table):
+        self.values = values
+        self.table = table
+        self.shape = (values.shape[1], values.shape[1])
+        self.hierarchy = None
+
+    def __matmul__(self, x):
+        return slot_product(self.values, self.table.columns, x)
+
+    def diagonal(self):
+        return self.values[self.values.shape[0] // 2].copy()
+
+    @property
+    def nnz(self):
+        return self.table.indices.size
+
+    @property
+    def data(self):
+        return self.values.T[self.table.present]
+
+    @property
+    def indices(self):
+        return self.table.indices
+
+    @property
+    def indptr(self):
+        return self.table.indptr
+
+
 @dataclasses.dataclass
 class SparseSystem:
     """Assembled linear system A u = b on the active nodes (A ~ L_a).
@@ -53,9 +124,10 @@ class SparseSystem:
     arms: bc_rows, bc_coeffs and bc_points, ordered by (node, axis, minus
     arm before plus arm), the order bc_vector sums them in.  `with_data`
     reuses A and the couplings for other data; no matrix is cached.  A's
-    index arrays, bc_rows and bc_points are read-only `NeighbourTable` arrays."""
+    column arrays, bc_rows and bc_points are read-only `NeighbourTable`
+    arrays."""
 
-    A: sp.csr_matrix
+    A: SlotMatrix
     b: np.ndarray
     domain: object
     grid: object
@@ -96,7 +168,8 @@ class SparseSystem:
 def _build(domain, grid, params) -> SparseSystem:
     """Matrix and boundary couplings of L_a on the active nodes of a grid,
     as a system that holds no data yet (b and dirichlet are None).  The
-    values fill the table's slots; A's data are the slots with a neighbour."""
+    values fill the table's slots; the slots without a neighbour are then
+    zeroed, after the cut arms' coefficients are read into bc_coeffs."""
     table = grid_geometry(domain, grid).neighbours
     dim = grid.k + 1
     h = grid.h_r
@@ -113,11 +186,11 @@ def _build(domain, grid, params) -> SparseSystem:
 
     # interior rows: flux form, written on every row and overwritten on the near rows
     r_i = table.row_r
-    vals = np.empty(table.present.shape)
-    vals[:, R_AXIS] = c_minus[r_i]
-    vals[:, -1] = c_plus[r_i]
-    vals[:, dim] = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
-    vals[:, 1:dim] = vals[:, dim + 1:-1] = 1.0 / hy2
+    vals = np.empty(table.columns.shape)
+    vals[R_AXIS] = c_minus[r_i]
+    vals[-1] = c_plus[r_i]
+    vals[dim] = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
+    vals[1:dim] = vals[dim + 1:-1] = 1.0 / hy2
 
     # near-boundary rows: nondivergence Shortley-Weller.  The diagonal sums
     # c_0 axis by axis, the r = 0 ghost right after axis 0's c_0; a cut
@@ -132,15 +205,15 @@ def _build(domain, grid, params) -> SparseSystem:
         diag += c_0
         if axis == R_AXIS:
             diag[table.ghost] += c_m[table.ghost]
-        vals[near, axis] = c_m
-        vals[near, 2 * dim - axis] = c_p
-    vals[near, dim] = diag
+        vals[axis, near] = c_m
+        vals[2 * dim - axis, near] = c_p
+    vals[dim, near] = diag
 
-    A = sp.csr_matrix((vals[table.present], table.indices, table.indptr),
-                      shape=(r_i.size, r_i.size))
+    bc_coeffs = vals[table.bc_slots, table.bc_rows]
+    vals[~table.present.T] = 0.0
     return SparseSystem(
-        A=A, b=None, domain=domain, grid=grid, params=params, dirichlet=None,
-        bc_rows=table.bc_rows, bc_coeffs=vals.reshape(-1)[table.bc_slots],
+        A=SlotMatrix(vals, table), b=None, domain=domain, grid=grid, params=params,
+        dirichlet=None, bc_rows=table.bc_rows, bc_coeffs=bc_coeffs,
         bc_points=table.bc_points,
     )
 
@@ -191,6 +264,13 @@ def boundary_normal_gradient(field, samples=None, count=20000, depth=None):
     Exact for affine gradients, so the quadratic ball profile is probed
     to solver accuracy.
     """
+    return _normal_gradient(field, lambda: gradient_fields(field), samples, count, depth)
+
+
+def _normal_gradient(field, gradient, samples=None, count=20000, depth=None):
+    """`boundary_normal_gradient` with the nodal gradient of `field` read
+    from gradient(), called once after the checks on the field, so a run
+    that has the gradient already passes it in."""
     domain = field.domain
     if not domain.smooth_boundary:
         raise UnsupportedShape("normal gradient sampling needs a smooth boundary")
@@ -202,14 +282,15 @@ def boundary_normal_gradient(field, samples=None, count=20000, depth=None):
     # default depth keeps both probe points inside fully interior
     # interpolation cells even where the boundary curves across the grid
     d = depth if depth is not None else 2.0 * field.grid.h_r
-    grads = gradient_fields(field)
-    p1 = samples.points - d * samples.normals
-    p2 = samples.points - 2.0 * d * samples.normals
-    g1 = np.zeros(samples.points.shape[0])
-    g2 = np.zeros(samples.points.shape[0])
-    for axis, g in enumerate(grads):
-        g1 += samples.normals[:, axis] * g.interpolate(p1)
-        g2 += samples.normals[:, axis] * g.interpolate(p2)
+    n = samples.points.shape[0]
+    probes = np.concatenate([samples.points - d * samples.normals,
+                             samples.points - 2.0 * d * samples.normals])
+    g1 = np.zeros(n)
+    g2 = np.zeros(n)
+    for axis, g in enumerate(gradient()):
+        both = g.interpolate(probes)
+        g1 += samples.normals[:, axis] * both[:n]
+        g2 += samples.normals[:, axis] * both[n:]
     if np.any(~np.isfinite(g1)) or np.any(~np.isfinite(g2)):
         raise StencilLeavesDomain(
             "normal probe stencil leaves the active grid; refine the grid "

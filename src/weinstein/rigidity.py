@@ -43,6 +43,7 @@ from .gamma import (
 from .geometry import StaggeredGrid, boundary_samples
 from .measure import spherical_mean, weighted_volume_integral
 from .operator import (
+    _normal_gradient,
     assemble_torsion_system,
     boundary_normal_gradient,
     normal_derivative_at_axis,
@@ -465,22 +466,17 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         results.append(CheckResult(name, math.nan, None, None, f"skipped: {why}"))
 
     # shared surface data (smooth shapes with a sphere lattice only): the
-    # samples, their weights and |du/dn| are built once for every check
-    stats = None
+    # samples and their weights are built once for every check
+    sampled = False
     if any(n in _BOUNDARY_CHECKS for n in names):
         try:
             s, w = _weighted_samples(domain, params, 20000)
-            un = boundary_normal_gradient(u, samples=s)
-            stats = _gradient_stats(w, un)
+            sampled = True
         except UnsupportedShape:  # corners, or a ball with k > 3
             pass
-    # Gamma = |grad u|^2 and P are built once, for every check that reads them
-    g = functools.cache(lambda: _grid_gamma(u, gradient_fields(u)))
-    P = functools.cache(lambda: _p_from_gamma(u, g(), params))
-    energy = functools.cache(lambda: _energy_pair(u, params, g()))
 
     mms_err = mms_gerr = None
-    if "p_constancy" in names and stats is not None:
+    if "p_constancy" in names and sampled:
         try:
             mms_err, mms_gerr = _manufactured_gradient_error(
                 system, solver_tol, max_iter)
@@ -488,6 +484,25 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             extras["mms_gradient_error"] = mms_gerr
         except (NoConvergence, BreakdownDetected):
             mms_err = mms_gerr = None
+
+    # grad u, Gamma = |grad u|^2 and P are built once, for every check that
+    # reads them.  grad u has two readers, the boundary probe (|du/dn|, for
+    # every boundary check) and Gamma, so it is dropped once Gamma is built;
+    # both come after the calibration solve, which differentiates its own field
+    grads = functools.cache(lambda: gradient_fields(u))
+
+    @functools.cache
+    def g():
+        gamma_u = _grid_gamma(u, grads())
+        grads.cache_clear()
+        return gamma_u
+
+    P = functools.cache(lambda: _p_from_gamma(u, g(), params))
+    energy = functools.cache(lambda: _energy_pair(u, params, g()))
+    stats = None
+    if sampled:
+        un = _normal_gradient(u, grads, samples=s)
+        stats = _gradient_stats(w, un)
 
     for name in names:
         if name in _BOUNDARY_CHECKS and stats is None:

@@ -9,20 +9,24 @@ first residual norm that is not finite.
 
 The preconditioner depends on k only:
 
-- k = 1: an aggregation V-cycle built from A for each solve (plain
-  aggregation, Braess, Computing 55 (1995); l1-Jacobi smoother, Baker,
-  Falgout, Kolev & Yang, SIAM J. Sci. Comput. 33(5) (2011)).  On the
-  (1, 2) ellipsoid at a = 1 it takes 12, 17 and 20 iterations at
-  h = 1/48, 1/96 and 1/192, where Jacobi's count doubles with each
-  halving of h (~400 at 1/96, ~890 at 1/192).  The hierarchy is not
-  cached: at h = 1/96 it holds 1.3 MB while the solve runs.
+- k = 1: an aggregation V-cycle (plain aggregation, Braess, Computing 55
+  (1995); l1-Jacobi smoother, Baker, Falgout, Kolev & Yang, SIAM J. Sci.
+  Comput. 33(5) (2011)).  On the (1, 2) ellipsoid at a = 1 it takes 12,
+  17 and 20 iterations at h = 1/48, 1/96 and 1/192, where Jacobi's count
+  doubles with each halving of h (~400 at 1/96, ~890 at 1/192).  Its
+  levels are built once per matrix and kept on it (`SlotMatrix.hierarchy`),
+  so a second solve on the same A, such as the calibration solve of
+  `p_constancy` through `SparseSystem.with_data`, reuses them; at h = 1/96
+  they hold 1.5 MB beside A.
 - k >= 2: Jacobi.  Those solves take tens of iterations, and the V-cycle
   costs more than it saves (k = 2, h = 1/20: 6 + 33 ms against 28 ms;
   k = 3, h = 1/10: 22 + 47 ms against 26 ms).
 
-There is no sparse LU: on the k = 1, h = 1/96 ellipsoid, whose whole
-`verify` run peaks at 65 MB resident, importing scipy.sparse.linalg adds
-7 MB to the peak and `splu` (2.1 million nonzeros in L + U) 32 MB more.
+Every level of the V-cycle keeps its operator in the slot layout of A
+(see `operator.SlotMatrix`), so the solver needs numpy alone.  There is
+no sparse LU: on the k = 1, h = 1/96 ellipsoid scipy's `splu` fills L + U
+with 2.1 million nonzeros, 32 MB, half the 65 MB that the whole `verify`
+run peaked at when scipy was imported.
 
 The returned residual is recomputed from the original system at exit
 (never trusted from the iteration), so a report cannot claim more than
@@ -34,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BreakdownDetected, NoConvergence
 from .geometry import grid_geometry
+from .operator import slot_product
 
 BREAKDOWN_TOL = np.finfo(float).eps ** 2  # floor on |rho| and |omega|, as in scipy
 COARSEST = 256  # unknowns at which the V-cycle stops coarsening and solves densely
@@ -104,11 +108,55 @@ def _jacobi(A):
     return lambda v: v / d
 
 
-def _l1_scale(A):
-    """-sum_j |a_ij| for each row of the csr matrix A, guarded as the Jacobi
-    diagonal is; |A| shares A's index arrays, so only its values are copied."""
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    return _guarded(-(abs_A @ np.ones(A.shape[0])))
+def _l1_scale(values):
+    """-sum_j |a_ij| for each row of a matrix in slot layout, summed slot by
+    slot (the order a CSR product of |A| with ones sums in), guarded as the
+    Jacobi diagonal is."""
+    return _guarded(-np.abs(values).sum(axis=0))
+
+
+def _coarsen(values, columns, agg, n_coarse):
+    """P^T A P in slot layout for the 0/1 aggregation P given by `agg`.
+
+    A fine entry whose column lies in its row's own aggregate feeds the
+    coarse diagonal; any other lies in the coarse neighbour in the same
+    direction, so it keeps its slot.  An empty coarse slot holds 0 and the
+    row's own index."""
+    width = values.shape[0]
+    to = agg[columns]
+    slot = np.where(to == agg, width // 2, np.arange(width)[:, None])
+    coarse = np.bincount((slot * n_coarse + agg).ravel(), weights=values.ravel(),
+                         minlength=width * n_coarse).reshape(width, n_coarse)
+    coarse_columns = np.tile(np.arange(n_coarse), (width, 1))
+    coarse_columns[slot, agg] = to
+    return coarse, coarse_columns
+
+
+def _hierarchy(A, geo):
+    """The V-cycle's levels for A on the active nodes of `geo`: a list of
+    (values, columns, l1 scale, aggregate of each row) from A down, and the
+    pseudo-inverse of the coarsest operator.  Nothing in it refers to A.
+    Each level's nodes are sorted lattice indices (`np.unique`), so a
+    node's neighbours along the last axis are the next and previous rows,
+    as `slot_product` reads them."""
+    shape = np.array(geo.inside.shape)
+    nodes = np.flatnonzero(geo.inside)
+    values, columns = A.values, A.table.columns
+    levels = []
+    while values.shape[1] > COARSEST:
+        coords = np.unravel_index(nodes, shape)
+        shape = (shape + 1) // 2
+        parent = np.ravel_multi_index(tuple(c // 2 for c in coords), shape)
+        nodes, agg = np.unique(parent, return_inverse=True)
+        levels.append((values, columns, _l1_scale(values), agg))
+        values, columns = _coarsen(values, columns, agg, nodes.size)
+    dense = np.zeros((nodes.size, nodes.size))
+    np.add.at(dense, (np.arange(nodes.size), columns), values)
+    # an overflowed stencil gets a non-finite coarse solve, not an SVD error:
+    # the loop then stops at its first non-finite residual norm
+    coarsest = (np.linalg.pinv(dense) if np.isfinite(dense).all()
+                else np.full_like(dense, np.nan))
+    return levels, coarsest
 
 
 def _vcycle(system):
@@ -124,30 +172,14 @@ def _vcycle(system):
     correction (after x = b / m), two after it.  The piecewise-constant P
     undershoots smooth errors, so the coarse correction is scaled by
     OVERCORRECTION; unscaled, the ellipsoid counts in the module docstring
-    are 19, 27 and 39.
+    are 19, 27 and 39.  The levels are built on the first call for a
+    matrix and kept on it; the matrix holds them, and neither they nor the
+    returned closure refer back to it, so all are freed with the matrix.
     """
-    geo = grid_geometry(system.domain, system.grid)
-    shape = np.array(geo.inside.shape)
-    nodes = np.flatnonzero(geo.inside)
     A = system.A
-    levels = []
-    while A.shape[0] > COARSEST:
-        coords = np.unravel_index(nodes, shape)
-        shape = (shape + 1) // 2
-        parent = np.ravel_multi_index(tuple(c // 2 for c in coords), shape)
-        nodes, agg = np.unique(parent, return_inverse=True)
-        P = sp.csr_matrix((np.ones(agg.size), agg, np.arange(agg.size + 1)),
-                          shape=(agg.size, nodes.size))
-        levels.append((A, _l1_scale(A), agg))
-        A = P.T.tocsr() @ A @ P  # all csr, so no product converts a copy of A
-    dense = A.toarray()
-    # an overflowed stencil gets a non-finite coarse solve, not an SVD error:
-    # the loop then stops at its first non-finite residual norm
-    coarsest = (np.linalg.pinv(dense) if np.isfinite(dense).all()
-                else np.full_like(dense, np.nan))
-
-    # no closure refers to itself, so the hierarchy is freed with the last
-    # reference to the preconditioner, not at the next garbage collection
+    if A.hierarchy is None:
+        A.hierarchy = _hierarchy(A, grid_geometry(system.domain, system.grid))
+    levels, coarsest = A.hierarchy
     return lambda v: _cycle(levels, coarsest, v)
 
 
@@ -155,13 +187,13 @@ def _cycle(levels, coarsest, b, level=0):
     """One V-cycle from `level` down on b, with zero initial guess."""
     if level == len(levels):
         return coarsest @ b
-    A, m, agg = levels[level]
+    values, columns, m, agg = levels[level]
     x = b / m
-    x += (b - A @ x) / m
-    coarse = np.bincount(agg, weights=b - A @ x)
+    x += (b - slot_product(values, columns, x)) / m
+    coarse = np.bincount(agg, weights=b - slot_product(values, columns, x))
     x += OVERCORRECTION * _cycle(levels, coarsest, coarse, level + 1)[agg]
     for _ in range(2):
-        x += (b - A @ x) / m
+        x += (b - slot_product(values, columns, x)) / m
     return x
 
 
@@ -204,7 +236,7 @@ def solve(system, tol=1e-10, max_iter=20000):
     if not converged:
         text = (f"{method} stopped at relative residual {residual:.3e} "
                 f"after {iterations} iterations (target {tol:.1e})")
-        if not np.isfinite(A.data).all():
+        if not np.isfinite(A.values).all():
             text += ": the assembled matrix holds non-finite entries"
         raise NoConvergence(text, best=fld, report=report)
     return fld, report

@@ -208,7 +208,7 @@ def test_full_battery_builds_the_matrix_once(monkeypatch):
 
 def test_full_battery_probes_the_boundary_once(monkeypatch):
     # the boundary checks share one set of samples and one |du/dn| probe
-    calls = {"boundary_samples": 0, "boundary_normal_gradient": 0}
+    calls = {"boundary_samples": 0, "_normal_gradient": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -221,19 +221,19 @@ def test_full_battery_probes_the_boundary_once(monkeypatch):
 
     for module in (rigidity_module, operator_module):
         counted(module, "boundary_samples")
-    counted(rigidity_module, "boundary_normal_gradient")
+    counted(rigidity_module, "_normal_gradient")
     report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), PARAMS, h=1.0 / 16)
     assert [c.name for c in report.checks] == list(CHECK_NAMES)
     status = {c.name: c.status for c in report.checks}
     for name in ("serrin_constancy", "dirichlet_energy", "flux_identity",
                  "pohozaev", "p_integral", "p_constancy"):
         assert status[name] != "skip", name
-    assert calls == {"boundary_samples": 1, "boundary_normal_gradient": 1}
+    assert calls == {"boundary_samples": 1, "_normal_gradient": 1}
 
 
-def test_full_battery_differentiates_the_solution_twice(monkeypatch):
-    # the boundary probe takes one gradient of u; Gamma = |grad u|^2 is
-    # built once and read by the energy, Pohozaev and both P checks
+def test_full_battery_differentiates_the_solution_once(monkeypatch):
+    # one gradient of u serves the boundary probe and Gamma = |grad u|^2,
+    # which is built once and read by the energy, Pohozaev and both P checks
     fields = []
     inner = rigidity_module.gradient_fields
 
@@ -250,7 +250,7 @@ def test_full_battery_differentiates_the_solution_twice(monkeypatch):
     assert [c.name for c in report.checks] == list(CHECK_NAMES)
     for name in ("dirichlet_energy", "pohozaev", "p_integral", "p_constancy"):
         assert status[name] == "pass", name
-    assert sum(f is report.u for f in fields) == 2
+    assert sum(f is report.u for f in fields) == 1
 
 
 def test_ellipsoid_battery_fails_exactly_the_overdetermined_checks():

@@ -2,16 +2,20 @@
 and the failure contract (best iterate always attached).
 
 `_scipy_reference` is the path `solve` used to take through scipy:
-`bicgstab` on -A with the Jacobi preconditioner as a `LinearOperator`
-and the iterations counted by a callback.  The written-out loop must
-reproduce its solutions bit for bit, with the same iteration counts, under
-Jacobi and under the k = 1 V-cycle.
+`bicgstab` on a scipy copy of -A with the Jacobi preconditioner as a
+`LinearOperator` and the iterations counted by a callback.  The
+written-out loop must reproduce its solutions bit for bit, with the same
+iteration counts, under Jacobi and under the k = 1 V-cycle.  scipy is a
+test reference only: the package runs on numpy alone.
 """
 
 import dataclasses
+import gc
+import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from weinstein import (
     solve,
 )
 from weinstein import solver as solver_module
+from weinstein.operator import SlotMatrix
 
 _SCIPY_VERSION = tuple(int(p) for p in scipy.__version__.split(".")[:2])
 
@@ -44,12 +49,25 @@ def _ball_system(h=1.0 / 16, a=1.0, k=1):
     return assemble_torsion_system(dom, grid, params)
 
 
+def _csr(A):
+    """A scipy copy of a `SlotMatrix`."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def _slot_system(sys0, slots, b):
+    """sys0 with A replaced by the matrix whose slots hold `slots`
+    ({slot: values}, every other slot zero), on sys0's neighbour table."""
+    values = np.zeros(sys0.A.values.shape)
+    for slot, vals in slots.items():
+        values[slot] = vals
+    return dataclasses.replace(sys0, A=SlotMatrix(values, sys0.A.table), b=b)
+
+
 def _diagonal_system():
     # hand-built SPD case (after the solver's sign flip): A = -I
     sys0 = _ball_system(h=1.0 / 8)
-    n = sys0.n
-    return dataclasses.replace(sys0, A=(-sp.identity(n)).tocsr(),
-                               b=np.linspace(-1.0, 1.0, n))
+    mid = sys0.A.values.shape[0] // 2
+    return _slot_system(sys0, {mid: -1.0}, np.linspace(-1.0, 1.0, sys0.n))
 
 
 def test_symmetric_diagonal_system_solves_by_bicgstab():
@@ -82,7 +100,7 @@ def test_grid_aligned_box_solves_by_bicgstab(a):
     x = u.active_values()
     res = float(np.linalg.norm(system.A @ x - system.b) / np.linalg.norm(system.b))
     assert res <= 10.0 * 1e-10
-    direct = spla.spsolve(system.A.tocsc(), system.b)
+    direct = spla.spsolve(_csr(system.A).tocsc(), system.b)
     assert np.max(np.abs(x - direct)) <= 1e-9 * np.max(np.abs(direct))
 
 
@@ -128,7 +146,7 @@ def test_no_convergence_carries_best_iterate_and_report():
 def _scipy_reference(system, precond=None, tol=1e-10, max_iter=20000):
     """(solution, iterations) of scipy's bicgstab on -A, Jacobi-preconditioned,
     or preconditioned by v -> precond(-v) given a preconditioner of A."""
-    A_neg = (-system.A).tocsr()
+    A_neg = -_csr(system.A)
     if precond is None:
         d = A_neg.diagonal()
         d = np.where(np.abs(d) > 0, d, 1.0)
@@ -197,9 +215,15 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
     sys0 = _ball_system(h=1.0 / 8, k=2)
     n = sys0.n
     assert n % 2 == 0
+    # row 2i holds +1 in column 2i + 1, row 2i + 1 holds -1 in column 2i:
+    # the (yk,+) and (yk,-) slots, whose columns are the next and previous row
+    mid = sys0.A.values.shape[0] // 2
+    plus, minus = np.zeros(n), np.zeros(n)
+    plus[0::2], minus[1::2] = 1.0, -1.0
+    system = _slot_system(sys0, {mid + 1: plus, mid - 1: minus}, np.ones(n))
     block = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    system = dataclasses.replace(sys0, A=sp.block_diag([block] * (n // 2), format="csr"),
-                                 b=np.ones(n))
+    x = np.arange(1.0, n + 1.0)
+    assert np.array_equal(system.A @ x, sp.block_diag([block] * (n // 2)) @ x)
     runs = []
     loop = solver_module._bicgstab
 
@@ -228,6 +252,22 @@ def test_vcycle_solves_the_large_a_ball():
     assert np.max(np.abs(u.values[inside] - u_exact(u.grid.node_points()[inside]))) <= 1e-9
 
 
+def test_vcycle_levels_are_built_once_and_freed_with_the_matrix():
+    system = _ball_system()
+    solve(system)
+    levels = system.A.hierarchy
+    assert levels is not None
+    solve(system.with_data(-2.0, 0.0))  # the calibration solve's path
+    assert system.A.hierarchy is levels
+    ref = weakref.ref(system.A)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None  # freed by reference counting: no cycle holds it
+    finally:
+        gc.enable()
+
+
 def test_vcycle_iterations_barely_grow_with_refinement():
     dom = Ellipsoid(semi_axes=(1.0, 2.0))
     its = {}
@@ -239,17 +279,28 @@ def test_vcycle_iterations_barely_grow_with_refinement():
     assert its[1 / 192] < 60
 
 
-def test_import_leaves_scipy_linear_algebra_unloaded():
-    # nor does a k = 1 solve, whose V-cycle needs only numpy and scipy.sparse
+def test_runs_import_no_scipy(tmp_path):
+    # a full k = 1 battery (the V-cycle path) and a k = 2 sweep point (the
+    # Jacobi path) in a fresh interpreter leave no scipy module loaded
+    verify = {"params": {"a": 1.0, "k": 1},
+              "domain": {"type": "ellipsoid", "semi_axes": [1.0, 2.0], "center": [0.01]},
+              "grid": {"h": 1 / 16}, "output_dir": str(tmp_path / "verify")}
+    sweep = {"params": {"a": 1.0, "k": 2},
+             "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
+             "grid": {"h": 1 / 8}, "checks": [], "output_dir": str(tmp_path / "sweep"),
+             "sweep": {"path": "params.a", "values": [0.5]}}
+    for name, cfg in (("verify", verify), ("sweep", sweep)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     code = ("import sys, weinstein\n"
-            "dom = weinstein.Ball(1.0, center=(0.0,))\n"
-            "system = weinstein.assemble_torsion_system(\n"
-            "    dom, weinstein.StaggeredGrid.from_domain(dom, 1 / 32),\n"
-            "    weinstein.WeinsteinParams(a=1.0, k=1))\n"
-            "assert weinstein.solve(system)[1].iterations >= 1\n"
-            "print([m for m in sys.modules "
-            "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))])")
+            "from weinstein.cli import main\n"
+            f"assert main(['verify', '--config', {str(tmp_path / 'verify.json')!r}]) == 1\n"
+            f"assert main(['sweep', '--config', {str(tmp_path / 'sweep.json')!r}]) == 0\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weinstein.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    assert report["solver"]["iterations"] >= 1
+    assert not [c["name"] for c in report["checks"] if c["detail"].startswith("skipped")]
+    assert (tmp_path / "sweep" / "run_000" / "u.csv").exists()

@@ -16,7 +16,9 @@ covered cell whose centre is outside; the array code must pick the same.
 `_reference_interpolate` is the per-corner interpolation that folded each
 corner index across r = 0 and carried a sign per corner, before the
 lattice was read with a mirror layer; the padded gathers must reproduce
-it bit for bit.
+it bit for bit.  scipy's CSR product and its P^T A P are the references
+for the slot-layout product and the V-cycle's coarse operators: the
+product must match bit for bit, the coarse operators to rounding.
 """
 
 import dataclasses
@@ -44,7 +46,8 @@ from weinstein.errors import MissingBoundaryData
 from weinstein.field import on_points
 from weinstein.geometry import ARM_FLOOR, R_AXIS, shift, three_point_weights
 from weinstein.measure import r_cell_measure
-from weinstein.operator import CSV_BLOCK_ROWS
+from weinstein import solver
+from weinstein.operator import CSV_BLOCK_ROWS, slot_product
 
 
 def _reference_stencil(domain, grid, params):
@@ -203,12 +206,60 @@ def test_array_stencil_matches_the_per_node_loop_bitwise(name):
     assert _bitwise_equal(system.b, -1.0 - want)
 
 
+def _scipy_slots(values, columns):
+    """A scipy copy of a matrix in slot layout (an empty slot adds 0 to the
+    diagonal)."""
+    width, n = values.shape
+    rows = np.tile(np.arange(n), width)
+    return sp.csr_matrix((values.ravel(), (rows, columns.ravel())), shape=(n, n))
+
+
+@pytest.mark.parametrize("name", list(_CASES))
+def test_slot_product_matches_the_csr_product_bitwise(name):
+    domain, grid, a = _CASES[name]
+    system = assemble_torsion_system(domain, grid, WeinsteinParams(a=a, k=domain.k))
+    A = system.A
+    csr = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    rng = np.random.default_rng(11)
+    for x in (rng.standard_normal(system.n), rng.uniform(0.5, 1.5, system.n), system.b):
+        assert _bitwise_equal(A @ x, csr @ x)
+    abs_csr = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    assert _bitwise_equal(solver._l1_scale(A.values),
+                          solver._guarded(-(abs_csr @ np.ones(system.n))))
+    assert _bitwise_equal(A.diagonal(), csr.diagonal())
+    assert A.nnz == csr.nnz
+
+
+@pytest.mark.parametrize("name", list(_CASES))
+def test_coarse_operators_match_the_csr_galerkin_product(name, monkeypatch):
+    domain, grid, a = _CASES[name]
+    system = assemble_torsion_system(domain, grid, WeinsteinParams(a=a, k=domain.k))
+    monkeypatch.setattr(solver, "COARSEST", 16)  # coarsen even the 30-row grazing ball
+    levels, _ = solver._hierarchy(system.A, grid_geometry(domain, grid))
+    assert levels
+    rng = np.random.default_rng(5)
+    for i, (values, columns, _, agg) in enumerate(levels):
+        n_coarse = int(agg.max()) + 1
+        P = sp.csr_matrix((np.ones(agg.size), (np.arange(agg.size), agg)),
+                          shape=(agg.size, n_coarse))
+        want = (P.T @ _scipy_slots(values, columns) @ P).tocsr()
+        coarse, coarse_columns = solver._coarsen(values, columns, agg, n_coarse)
+        if i + 1 < len(levels):
+            assert _bitwise_equal(coarse, levels[i + 1][0])
+        got = _scipy_slots(coarse, coarse_columns)
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+        # the coarse lattice keeps the slot layout, so the product's shifted
+        # slices still find the fast-axis neighbours
+        x = rng.standard_normal(n_coarse)
+        assert _bitwise_equal(slot_product(coarse, coarse_columns, x), got @ x)
+
+
 def _cut_arms(geo):
     """The table's cut arms as (axis, direction, rows, theta, points) per
     (axis, direction), theta read back from the cut points."""
     table, grid = geo.neighbours, geo.grid
     dim = grid.k + 1
-    slot = table.bc_slots % (2 * dim + 1)
+    slot = table.bc_slots
     nodes = grid.points_at(geo.inside)
     for axis in range(dim):
         for direction in (1, -1):
