@@ -2,10 +2,10 @@
 
 Centered stencils at nodes whose neighbors are inside the domain, and
 3-point unequal-arm stencils (using Dirichlet values at the boundary cut
-points) next to the boundary; the arms come from the geometry's
-`NeighbourTable`, as assembly's do.  Across r = 0 the even/odd reflection
-of the field supplies the missing ghost value, so nothing special happens
-at the axis.
+points) next to the boundary; the neighbours, arms and cut points come
+from the geometry's `NeighbourTable`, as assembly's do.  Across r = 0
+the first r layer's (r,-) neighbour is the node itself times the parity
+sign, the even/odd reflection of the field.
 """
 
 from __future__ import annotations
@@ -19,17 +19,21 @@ from .geometry import R_AXIS, grid_geometry, shift, three_point_weights
 
 def axis_derivative(field, axis):
     """Shortley-Weller first derivative along `axis` as a full-shape array
-    (NaN outside): centred weights on every inside row, the table's
-    unequal-arm weights on its near rows, and on a cut arm the field's
-    Dirichlet data at the table's cut point."""
+    (NaN outside): neighbours gathered through the table's columns, centred
+    weights on every inside row, the table's unequal-arm weights on its near
+    rows, and on a cut arm the field's Dirichlet data at its cut point."""
     geo = grid_geometry(field.domain, field.grid)
     table = geo.neighbours
     dim = field.grid.k + 1
     sign = -1.0 if field.parity == "odd" else 1.0
+    values = field.values[geo.inside]
     nb = {}
     for direction in (1, -1):
-        nb[direction] = shift(field.values, axis, direction, np.nan, sign)[geo.inside]
-        cut = table.bc_slots == dim + direction * (dim - axis)
+        slot = dim + direction * (dim - axis)
+        nb[direction] = values.take(table.columns[slot])
+        if slot == 0:  # the first r layer's (r,-) column is the row, its own mirror
+            nb[direction][table.row_r == 0] *= sign
+        cut = table.bc_slots == slot
         if cut.any():
             if field.boundary_values is None:
                 raise MissingBoundaryData(
@@ -44,7 +48,7 @@ def axis_derivative(field, axis):
         full[table.near] = part
     w_m, w_0, w_p = weights
     d = np.full(field.grid.shape, np.nan)
-    d[geo.inside] = w_m * nb[-1] + w_0 * field.values[geo.inside] + w_p * nb[1]
+    d[geo.inside] = w_m * nb[-1] + w_0 * values + w_p * nb[1]
     return d
 
 

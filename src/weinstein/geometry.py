@@ -445,12 +445,12 @@ class NeighbourTable:
     k+1) run in ascending column order, (r,-), (y1,-) .. (yk,-), diagonal,
     (yk,+) .. (y1,+), (r,+); (axis, direction) is slot dim + direction *
     (dim - axis).  A slot holds a neighbour's row (the row itself on the
-    diagonal) unless its arm is cut, folds across r = 0 or has no entry;
-    `present` marks those that do, and `indices`, `indptr` (int32) list
-    them row by row, the CSR structure of A.  `columns` (int32, slot-major,
-    one row per slot) holds each slot's neighbour, the row itself where
-    the slot has none: the column layout of `operator.SlotMatrix`.  Along the last (fastest) lattice axis
-    a neighbour is the next or previous row.  `near` are the rows with a
+    diagonal) unless its arm is cut or folds across r = 0.  `columns`
+    (int32, slot-major, one row per slot), the one record of adjacency,
+    holds each slot's neighbour, the row itself where the slot has none:
+    the columns of `operator.SlotMatrix` and of the derivatives' gathers.
+    Along the last (fastest) lattice axis a neighbour is the next or
+    previous row.  `near` are the rows with a
     cut arm and `ghost` the near rows whose (r,-) arm folds.  The table is
     the one place a cut arm is found and measured: a near row's arm with no
     neighbour that does not fold is cut at the fraction theta of the step
@@ -471,11 +471,8 @@ class NeighbourTable:
         # the first r layer's (r,-) index wraps round to the last layer,
         # where GridGeometry allows no inside node, so that slot is empty
         neighbour = row_of[flat[:, None] + np.concatenate([-strides, [0], strides[::-1]])]
-        self.present = neighbour >= 0
-        self.indices = neighbour[self.present]
-        self.indptr = np.pad(np.cumsum(self.present.sum(axis=1), dtype=np.int32), (1, 0))
         own = np.arange(flat.size, dtype=np.int32)
-        self.columns = np.where(self.present, neighbour, own[:, None]).T.copy()
+        self.columns = np.where(neighbour >= 0, neighbour, own[:, None]).T.copy()
 
         self.near = np.flatnonzero(geo.near.reshape(-1)[flat])
         self.ghost = self.row_r[self.near] == 0  # the mirror across r = 0 is inside
@@ -486,7 +483,7 @@ class NeighbourTable:
             arms = {}
             for direction in _DIRS:
                 slot = dim + direction * (dim - axis)
-                cut = ~self.present[self.near, slot]
+                cut = neighbour[self.near, slot] < 0
                 if axis == R_AXIS and direction == -1:
                     cut &= ~self.ghost
                 points = near_points[cut]
@@ -503,8 +500,7 @@ class NeighbourTable:
         order = np.argsort(np.concatenate(keys))
         self.bc_rows, self.bc_slots, self.bc_points = (
             np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
-        for array in (self.present, self.indptr, self.indices, self.columns,
-                      self.bc_rows, self.bc_points):
+        for array in (self.columns, self.bc_rows, self.bc_points):
             array.flags.writeable = False
 
 
@@ -518,11 +514,6 @@ class GridGeometry:
                     from a local planar model of the boundary
     donor_flat      for covered cells whose center is outside: flat index of
                     an adjacent inside node to read field values from (-1: none)
-    sd              signed distance of every node, exact where |sd| is at
-                    most max(1.0001 half cell diagonals, 2h), which covers
-                    the volume-fraction band and two node layers inside
-                    the boundary (sd <= -2h); beyond it only its sign is
-                    exact (see `_AxialDomain`)
     neighbours      the `NeighbourTable`, built on first use; it finds and
                     measures the cut arms of the near nodes
     """
@@ -533,8 +524,7 @@ class GridGeometry:
         pts = grid.node_points()
         h = grid.h_r
         fraction_band = 0.5 * h * math.sqrt(grid.k + 1) * 1.0001
-        sd = domain.signed_distance(pts, band=max(fraction_band, 2.0 * h))
-        self.sd = sd
+        sd = domain.signed_distance(pts, band=fraction_band)
         inside = sd < 0.0
         if not inside.any():
             raise EmptyDomain("no grid node lies inside the domain")

@@ -19,8 +19,8 @@ product <u, v> = sum u v V_i h^k; cut rows are not.  An assembly computes
 only the coefficients, which depend on a; the rows and columns of A, the
 arm weights and the cut arms come from the geometry's `NeighbourTable`.
 
-A is a `SlotMatrix`: its values sit in the table's 2k+3 slots, one row
-of the values array per slot, zero where the slot has no neighbour, and
+A is a `SlotMatrix`: one row of values per slot of the table, whose
+`columns` are A's columns, zero where the slot has no neighbour, and
 `A @ x` adds the slots' products in ascending column order.
 
 `assemble_torsion_system` returns one `SparseSystem`, which owns A and
@@ -82,10 +82,10 @@ class SlotMatrix:
     `values` has one row per slot and one column per matrix row, zero where
     the table's slot has no neighbour (a cut arm's coefficient is kept only
     in the system's bc_coeffs); `table.columns` gives the columns.  The CSR
-    views `data`, `indices` and `indptr` list the present slots row by row;
-    the last two are the table's read-only arrays.  `hierarchy` holds the
-    solver's V-cycle levels for this matrix once a k = 1 solve has built
-    them (None before), so every system on the matrix shares them."""
+    views `nnz`, `data`, `indices` and `indptr` (int32) list the present
+    slots row by row and are read off `columns`, not stored.  `hierarchy`
+    holds the solver's V-cycle levels for this matrix once a k = 1 solve
+    has built them (None before), so every system on the matrix shares them."""
 
     def __init__(self, values, table):
         self.values = values
@@ -99,21 +99,26 @@ class SlotMatrix:
     def diagonal(self):
         return self.values[self.values.shape[0] // 2].copy()
 
+    def _present(self):
+        """Row-major mask: the diagonal, and each slot whose column is not its row."""
+        width, n = self.table.columns.shape
+        return (self.table.columns != np.arange(n)).T | (np.arange(width) == width // 2)
+
     @property
     def nnz(self):
-        return self.table.indices.size
+        return int(np.count_nonzero(self._present()))
 
     @property
     def data(self):
-        return self.values.T[self.table.present]
+        return self.values.T[self._present()]
 
     @property
     def indices(self):
-        return self.table.indices
+        return self.table.columns.T[self._present()]
 
     @property
     def indptr(self):
-        return self.table.indptr
+        return np.pad(np.cumsum(self._present().sum(axis=1), dtype=np.int32), (1, 0))
 
 
 @dataclasses.dataclass
@@ -124,7 +129,7 @@ class SparseSystem:
     arms: bc_rows, bc_coeffs and bc_points, ordered by (node, axis, minus
     arm before plus arm), the order bc_vector sums them in.  `with_data`
     reuses A and the couplings for other data; no matrix is cached.  A's
-    column arrays, bc_rows and bc_points are read-only `NeighbourTable`
+    columns, bc_rows and bc_points are read-only `NeighbourTable`
     arrays."""
 
     A: SlotMatrix
@@ -168,8 +173,8 @@ class SparseSystem:
 def _build(domain, grid, params) -> SparseSystem:
     """Matrix and boundary couplings of L_a on the active nodes of a grid,
     as a system that holds no data yet (b and dirichlet are None).  The
-    values fill the table's slots; the slots without a neighbour are then
-    zeroed, after the cut arms' coefficients are read into bc_coeffs."""
+    values fill the table's slots; the slots without a neighbour (the cut
+    arms and the r = 0 fold) are zeroed once bc_coeffs holds the cut arms'."""
     table = grid_geometry(domain, grid).neighbours
     dim = grid.k + 1
     h = grid.h_r
@@ -210,7 +215,7 @@ def _build(domain, grid, params) -> SparseSystem:
     vals[dim, near] = diag
 
     bc_coeffs = vals[table.bc_slots, table.bc_rows]
-    vals[~table.present.T] = 0.0
+    vals[table.bc_slots, table.bc_rows] = vals[R_AXIS, r_i == 0] = 0.0
     return SparseSystem(
         A=SlotMatrix(vals, table), b=None, domain=domain, grid=grid, params=params,
         dirichlet=None, bc_rows=table.bc_rows, bc_coeffs=bc_coeffs,

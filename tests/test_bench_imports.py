@@ -7,6 +7,11 @@ only when the benchmark itself runs.  Both scripts are imported with
 `bench/` on `sys.path`, and every `weinstein` name they import or read an
 attribute of (at any depth, also inside functions) must resolve.
 
+Names resolve, but the attributes of the objects they return are read
+only when the scripts run, so one traced torsion solve and the untraced
+op's cached counters run here on a coarse k = 2 ball: a deleted view of
+A fails here too.
+
 The demos are held to the same names, but only parsed, not run, and
 every entry of `weinstein.__all__` must resolve as well.
 """
@@ -88,6 +93,30 @@ def test_bench_script_imports_and_its_weinstein_names_resolve(script, bench_on_p
     importlib.import_module(script)
     missing = _unresolved(BENCH / f"{script}.py")
     assert not missing, missing
+
+
+def test_bench_counters_read_the_matrix_and_the_geometry(bench_on_path):
+    import child
+    import traced
+    from workloads import MAX_ITER, SOLVER_TOL
+    from weinstein import Ball, StaggeredGrid, WeinsteinParams
+
+    domain = Ball(1.0, center=(0.03, 0.0))
+    params = WeinsteinParams(a=1.0, k=2)
+    h = 1 / 10
+    tr = traced.Tracer(0)
+    problems = []
+    traced._solve_torsion(tr, domain, StaggeredGrid.from_domain(domain, h), params,
+                          SOLVER_TOL, MAX_ITER, problems)
+    assert not problems
+    counts = {}
+    for span in tr.spans:
+        counts.update(span["counts"])
+    n = counts["unknowns"]
+    # float64 data, int32 indices and indptr, one read of x and one write of y
+    assert counts["matvec_bytes"] == 12 * counts["nnz"] + 4 * (n + 1) + 16 * n
+    cached = child._cached_counts([(domain, params, h)])
+    assert (cached["nnz"], cached["cut_nodes"]) == (counts["nnz"], counts["cut_nodes"])
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
