@@ -25,12 +25,11 @@ ARM_FLOOR = 1e-6  # shortest cut arm, as a fraction of the step
 MARGIN_CELLS = 2  # lattice cells of slack beyond the domain on each side
 
 
-def shift(array, axis, direction, fill, mirror_sign=1.0):
+def shift(array, axis, direction, fill):
     """Values of the neighbor one step along (axis, direction).
 
     Nodes whose neighbor is off the lattice get `fill`, except below the
-    first r-layer, where the mirror node across r = 0 supplies
-    mirror_sign * array (a plain copy for sign 1, as boolean masks need)."""
+    first r-layer, where the mirror node across r = 0 supplies the value."""
     out = np.full_like(array, fill)
     src = [slice(None)] * array.ndim
     dst = list(src)
@@ -40,7 +39,7 @@ def shift(array, axis, direction, fill, mirror_sign=1.0):
         src[axis], dst[axis] = slice(0, -1), slice(1, None)
     out[tuple(dst)] = array[tuple(src)]
     if axis == R_AXIS and direction == -1:  # the r axis leads, so row 0 is r = h/2
-        out[0] = array[0] if mirror_sign == 1 else mirror_sign * array[0]
+        out[0] = array[0]
     return out
 
 
@@ -458,11 +457,26 @@ class NeighbourTable:
     ARM_FLOOR) steps long.  `weights` per axis are the three_point_weights
     of the near rows' arms.  The cut arms, in the order bc_vector sums them
     (node, axis, minus arm first), give `bc_rows`, their slots `bc_slots`
-    and `bc_points`.  The arrays that systems share are read-only."""
+    and `bc_points`.  The arrays that systems share are read-only.
+
+    `mirror_axes` are the y axes j whose lattice mirrors about c_j (an even
+    node count, symmetric about the centre) with an `inside` mask equal to
+    its flip: the axes a solve with even data may fold over (`MirrorFold`),
+    with `mirror(j)` the row of each row's mirror image.  The table is its
+    own fold over none, so its `rows` and `unfold` select all."""
+
+    rows = unfold = slice(None)
 
     def __init__(self, geo):
         grid = geo.grid
         dim = grid.k + 1
+        self.inside = geo.inside
+        self.mirror_axes = tuple(
+            1 + m for m, c in enumerate(geo.domain.y_center)
+            if grid.n_y[m] % 2 == 0
+            and abs(grid.y_start[m] + (grid.n_y[m] - 1) / 2.0 * grid.h_y - c)
+            <= 1e-12 * (grid.h_y + abs(c))
+            and np.array_equal(geo.inside, np.flip(geo.inside, 1 + m)))
         flat = np.flatnonzero(geo.inside)
         row_of = np.full(grid.n_nodes, -1, dtype=np.int32)
         row_of[flat] = np.arange(flat.size)
@@ -502,6 +516,44 @@ class NeighbourTable:
             np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
         for array in (self.columns, self.bc_rows, self.bc_points):
             array.flags.writeable = False
+
+    def mirror(self, axis):
+        """int32 row of each row's mirror image across the centre of `axis`,
+        one of `mirror_axes`."""
+        row = np.full(self.inside.shape, -1, dtype=np.int32)
+        row[self.inside] = np.arange(self.columns.shape[1], dtype=np.int32)
+        return np.flip(row, axis)[self.inside]
+
+
+class MirrorFold:
+    """A `NeighbourTable` folded over the mirrors y_j -> 2 c_j - y_j of the
+    lattice axes `axes` (some of its `mirror_axes`), built per solve and
+    freed with it.
+
+    Its rows are the fundamental rows: the inside nodes whose index lies in
+    the upper half of every folded axis, in C order, with the lattice mask
+    `inside` (a view of the upper part of the table's).  `rows` (int32) are
+    their rows in the table; `unfold` (int32) maps each row of the table to
+    the fundamental row of its mirror image, so x = x_fold[unfold] and
+    b_fold = b[rows].  `columns` are the table's columns of `rows` mapped
+    through `unfold`: a neighbour across a mirror plane maps to the row
+    itself, and along the last lattice axis a neighbour is still the next
+    or previous row."""
+
+    def __init__(self, table, axes):
+        upper = tuple(slice(n // 2 if axis in axes else 0, None)
+                      for axis, n in enumerate(table.inside.shape))
+        self.inside = table.inside[upper]
+        fundamental = np.full(table.inside.shape, -1, dtype=np.int32)
+        fundamental[upper][self.inside] = np.arange(np.count_nonzero(self.inside),
+                                                    dtype=np.int32)
+        self.rows = np.flatnonzero(fundamental[table.inside] >= 0).astype(np.int32)
+        for axis in axes:  # each lower half reads its mirror in the upper one
+            lower = tuple(slice(n // 2) if a == axis else slice(None)
+                          for a, n in enumerate(table.inside.shape))
+            fundamental[lower] = np.flip(fundamental, axis)[lower]
+        self.unfold = fundamental[table.inside]
+        self.columns = self.unfold[table.columns[:, self.rows]]
 
 
 class GridGeometry:

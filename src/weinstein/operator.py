@@ -39,7 +39,7 @@ import numpy as np
 from .differential import gradient_fields
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
 from .field import ScalarField, on_points
-from .geometry import R_AXIS, boundary_samples, grid_geometry
+from .geometry import R_AXIS, MirrorFold, boundary_samples, grid_geometry
 from .measure import r_cell_measure
 
 
@@ -83,9 +83,15 @@ class SlotMatrix:
     the table's slot has no neighbour (a cut arm's coefficient is kept only
     in the system's bc_coeffs); `table.columns` gives the columns.  The CSR
     views `nnz`, `data`, `indices` and `indptr` (int32) list the present
-    slots row by row and are read off `columns`, not stored.  `hierarchy`
-    holds the solver's V-cycle levels for this matrix once a k = 1 solve
-    has built them (None before), so every system on the matrix shares them."""
+    slots row by row and are read off `columns`, not stored.
+
+    `even_axes` are the table's mirror axes on which A and given data are
+    their own mirror images, and `fold` gives A on the fundamental rows of
+    some of them.  `hierarchy` holds what a k = 1 solve builds for this
+    matrix (None before): the axes it folded over, the folded matrix's
+    values and table, and the solver's V-cycle levels, so every system on
+    the matrix whose data are even on the same axes shares them.  It holds
+    one fold: a solve over other axes replaces it."""
 
     def __init__(self, values, table):
         self.values = values
@@ -98,6 +104,52 @@ class SlotMatrix:
 
     def diagonal(self):
         return self.values[self.values.shape[0] // 2].copy()
+
+    def even_axes(self, b, tol):
+        """The table's `mirror_axes` j whose mirror y_j -> 2 c_j - y_j maps
+        A and b to themselves, up to tol relative to the norms of `values`
+        and b: the (y_j,-) and (y_j,+) slots swap, and the rows go to their
+        mirror images.  On those axes the solution of A x = b is even, up
+        to rounding.  Assembled coefficients differ from their mirror
+        images by rounding in the cut arms (4e-12 of the largest on the
+        (1, 2) ellipsoid at h = 1/96), so for an assembled A the data
+        decide; a matrix built by hand is even where its values are."""
+        width = self.values.shape[0]
+        values_tol, b_tol = tol * np.linalg.norm(self.values), tol * np.linalg.norm(b)
+        axes = []
+        for axis in self.table.mirror_axes:
+            mirror = self.table.mirror(axis)
+            if not np.linalg.norm(b.take(mirror) - b) <= b_tol:
+                continue
+            swap = np.arange(width)
+            swap[[axis, width - 1 - axis]] = width - 1 - axis, axis
+            odd = np.sqrt(sum(np.linalg.norm(self.values[swap[slot]].take(mirror)
+                                             - self.values[slot]) ** 2
+                              for slot in range(width)))
+            if odd <= values_tol:
+                axes.append(axis)
+        return tuple(axes)
+
+    def fold(self, axes):
+        """A on the fundamental rows of its mirrors on `axes`, over the
+        table's `MirrorFold`: the kept rows' slots, each column mapped
+        through the mirror, and a slot whose neighbour lies across a mirror
+        plane (its column is now the row itself) added into the diagonal
+        and zeroed, as `solver._coarsen` merges an aggregate's own columns.
+        For an even x, A x on the kept rows is this matrix times x on them.
+        Over no axes it is A itself."""
+        if not axes:
+            return self
+        table = MirrorFold(self.table, axes)
+        values = self.values[:, table.rows]
+        mid = values.shape[0] // 2
+        own = np.arange(table.rows.size, dtype=np.int32)
+        for slot, columns in enumerate(table.columns):
+            across = columns == own
+            if slot != mid:
+                values[mid, across] += values[slot, across]
+                values[slot, across] = 0.0
+        return SlotMatrix(values, table)
 
     def _present(self):
         """Row-major mask: the diagonal, and each slot whose column is not its row."""

@@ -373,16 +373,17 @@ def _manufactured_gradient_error(system, solver_tol, max_iter):
         dirichlet=lambda pts: v.eval_float(domain.offset(pts)),
     )
     v_h, _ = solve(quartic, tol=solver_tol, max_iter=max_iter)
+    del quartic  # its b
     geo = v_h.geometry
     q = domain.offset(grid.points_at(geo.inside))  # the errors read no other node
     err = float(np.max(np.abs(v_h.values[geo.inside] - v.eval_float(q))))
 
-    grads_h = gradient_fields(v_h)
     mask = deep_mask(geo)  # a subset of geo.inside
-    q_deep = q[mask[geo.inside]]
+    q = q[mask[geo.inside]]  # the deep nodes', before the gradients are built
+    grads_h = gradient_fields(v_h)
     gerr = 0.0
     for axis in range(k + 1):
-        g_exact = v.diff(axis).eval_float(q_deep)
+        g_exact = v.diff(axis).eval_float(q)
         gerr = max(gerr, float(np.max(np.abs(grads_h[axis].values[mask] - g_exact))))
     return err, gerr
 
@@ -484,6 +485,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             extras["mms_gradient_error"] = mms_gerr
         except (NoConvergence, BreakdownDetected):
             mms_err = mms_gerr = None
+    del system  # A, its fold and its V-cycle levels: no check reads them
 
     # grad u, Gamma = |grad u|^2 and P are built once, for every check that
     # reads them.  grad u has two readers, the boundary probe (|du/dn|, for

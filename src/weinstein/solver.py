@@ -7,20 +7,27 @@ nonsymmetric method serves every system, including the rare ones without
 cut rows (a box whose faces sit on grid nodes).  The loop stops at the
 first residual norm that is not finite.
 
-The preconditioner depends on k only:
+Every shape is mirror-symmetric about its centre in each y_j, and so are
+the torsion data and the calibration quartic, so `solve` folds A onto the
+fundamental rows, 1/2^k of the unknowns (`operator.SlotMatrix.fold`),
+iterates there and unfolds x.  It folds over the axes on which A and b
+equal their mirror images to within tol (`SlotMatrix.even_axes`), so data
+that are not even, and a matrix built by hand that is not, solve
+unfolded.  The figures below are on folded systems, under one BLAS
+thread.  The preconditioner depends on k only:
 
 - k = 1: an aggregation V-cycle (plain aggregation, Braess, Computing 55
   (1995); l1-Jacobi smoother, Baker, Falgout, Kolev & Yang, SIAM J. Sci.
   Comput. 33(5) (2011)).  On the (1, 2) ellipsoid at a = 1 it takes 12,
-  17 and 20 iterations at h = 1/48, 1/96 and 1/192, where Jacobi's count
-  doubles with each halving of h (~400 at 1/96, ~890 at 1/192).  Its
+  13 and 17 iterations at h = 1/48, 1/96 and 1/192, where Jacobi's count
+  doubles with each halving of h (205, 395 and 920).  The fold and its
   levels are built once per matrix and kept on it (`SlotMatrix.hierarchy`),
   so a second solve on the same A, such as the calibration solve of
   `p_constancy` through `SparseSystem.with_data`, reuses them; at h = 1/96
-  they hold 1.5 MB beside A.
+  they hold 1.6 MB beside A.
 - k >= 2: Jacobi.  Those solves take tens of iterations, and the V-cycle
-  costs more than it saves (k = 2, h = 1/20: 6 + 33 ms against 28 ms;
-  k = 3, h = 1/10: 22 + 47 ms against 26 ms).
+  costs more than it saves (k = 2, h = 1/20: 4 + 17 ms against 15 ms;
+  k = 3, h = 1/10: 2 + 16 ms against 8 ms).
 
 Every level of the V-cycle keeps its operator in the slot layout of A
 (see `operator.SlotMatrix`), so the solver needs numpy alone.  There is
@@ -28,7 +35,7 @@ no sparse LU: on the k = 1, h = 1/96 ellipsoid scipy's `splu` fills L + U
 with 2.1 million nonzeros, 32 MB, half the 65 MB that the whole `verify`
 run peaked at when scipy was imported.
 
-The returned residual is recomputed from the original system at exit
+The returned residual is recomputed from the original, unfolded system at exit
 (never trusted from the iteration), so a report cannot claim more than
 the returned field delivers.
 """
@@ -40,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownDetected, NoConvergence
-from .geometry import grid_geometry
-from .operator import slot_product
+from .operator import SlotMatrix, slot_product
 
 BREAKDOWN_TOL = np.finfo(float).eps ** 2  # floor on |rho| and |omega|, as in scipy
 COARSEST = 256  # unknowns at which the V-cycle stops coarsening and solves densely
@@ -132,15 +138,15 @@ def _coarsen(values, columns, agg, n_coarse):
     return coarse, coarse_columns
 
 
-def _hierarchy(A, geo):
-    """The V-cycle's levels for A on the active nodes of `geo`: a list of
-    (values, columns, l1 scale, aggregate of each row) from A down, and the
-    pseudo-inverse of the coarsest operator.  Nothing in it refers to A.
-    Each level's nodes are sorted lattice indices (`np.unique`), so a
-    node's neighbours along the last axis are the next and previous rows,
-    as `slot_product` reads them."""
-    shape = np.array(geo.inside.shape)
-    nodes = np.flatnonzero(geo.inside)
+def _hierarchy(A):
+    """The V-cycle's levels for A on the active nodes of its table's lattice
+    mask `inside`: a list of (values, columns, l1 scale, aggregate of each
+    row) from A down, and the pseudo-inverse of the coarsest operator.
+    Nothing in it refers to A.  Each level's nodes are sorted lattice
+    indices (`np.unique`), so a node's neighbours along the last axis are
+    the next and previous rows, as `slot_product` reads them."""
+    shape = np.array(A.table.inside.shape)
+    nodes = np.flatnonzero(A.table.inside)
     values, columns = A.values, A.table.columns
     levels = []
     while values.shape[1] > COARSEST:
@@ -159,28 +165,38 @@ def _hierarchy(A, geo):
     return levels, coarsest
 
 
-def _vcycle(system):
-    """Aggregation V-cycle for system.A as a preconditioner v -> ~A^-1 v.
+def _preconditioned(system, tol):
+    """The matrix a solve of `system` to tol iterates on, A folded over
+    the axes on which A and b are even (A itself over none), and its
+    preconditioner: the V-cycle at k = 1, Jacobi at k >= 2.
 
-    Each coarse unknown is one 2 x ... x 2 block of lattice nodes (lattice
-    index halved on every axis) holding at least one active node; the
-    coarse operator is P^T A P for the 0/1 aggregation P, kept as the
-    aggregate index `agg` of each node (P^T r sums r over each aggregate,
-    P y copies y to its members).  Levels stop at COARSEST unknowns, solved
-    by a dense pseudo-inverse.  The smoother is l1-Jacobi,
-    x += (b - A x) / m with m = -sum_j |a_ij|: one sweep before the coarse
-    correction (after x = b / m), two after it.  The piecewise-constant P
-    undershoots smooth errors, so the coarse correction is scaled by
-    OVERCORRECTION; unscaled, the ellipsoid counts in the module docstring
-    are 19, 27 and 39.  The levels are built on the first call for a
-    matrix and kept on it; the matrix holds them, and neither they nor the
-    returned closure refer back to it, so all are freed with the matrix.
+    The aggregation V-cycle for the folded matrix F as v -> ~F^-1 v: each
+    coarse unknown is one 2 x ... x 2 block of F's lattice nodes (index
+    halved on every axis; a folded axis counts from its mirror plane)
+    holding at least one row; the coarse operator is P^T F P for the 0/1
+    aggregation P, kept as the aggregate index `agg` of each node (P^T r
+    sums r over each aggregate, P y copies y to its members).  Levels stop
+    at COARSEST unknowns, solved by a dense pseudo-inverse.  The smoother
+    is l1-Jacobi, x += (b - F x) / m with m = -sum_j |f_ij|: one sweep
+    before the coarse correction (after x = b / m), two after it.  The
+    piecewise-constant P undershoots smooth errors, so the coarse
+    correction is scaled by OVERCORRECTION; unscaled, the ellipsoid counts
+    in the module docstring are 14, 20 and 30.  F and its levels are built
+    on the first solve for A and kept on A (`SlotMatrix.hierarchy`) as
+    arrays, for later solves over the same axes: nothing there refers to
+    A, which is F itself over no axes, so all are freed with A.  At k >= 2
+    the fold is built for each solve and freed with it.
     """
     A = system.A
-    if A.hierarchy is None:
-        A.hierarchy = _hierarchy(A, grid_geometry(system.domain, system.grid))
-    levels, coarsest = A.hierarchy
-    return lambda v: _cycle(levels, coarsest, v)
+    axes = A.even_axes(system.b, tol)
+    if system.grid.k > 1:
+        folded = A.fold(axes)
+        return folded, _jacobi(folded)
+    if A.hierarchy is None or A.hierarchy[0] != axes:
+        folded = A.fold(axes)
+        A.hierarchy = (axes, folded.values, folded.table, _hierarchy(folded))
+    _, values, table, (levels, coarsest) = A.hierarchy
+    return SlotMatrix(values, table), lambda v: _cycle(levels, coarsest, v)
 
 
 def _cycle(levels, coarsest, b, level=0):
@@ -200,7 +216,11 @@ def _cycle(levels, coarsest, b, level=0):
 def solve(system, tol=1e-10, max_iter=20000):
     """Solve A u = b; returns (ScalarField, SolveReport).
 
-    Raises NoConvergence (best iterate and report attached) when the
+    BiCGStab runs on A folded over the mirror axes on which A and b are
+    even and on the fundamental rows of b, to the relative tolerance tol,
+    and one gather unfolds x; the residual is certified on the original A
+    and b, and the report counts the original unknowns.  Raises
+    NoConvergence (best iterate, unfolded, and report attached) when the
     certified relative residual misses 10 * tol within max_iter, and
     BreakdownDetected when BiCGStab breaks down twice.
     """
@@ -215,12 +235,16 @@ def solve(system, tol=1e-10, max_iter=20000):
     # an overflow needs no warning: the first non-finite residual norm stops
     # the loop, and the certified residual names the failure
     with np.errstate(over="ignore", invalid="ignore"):
-        precond = _vcycle(system) if system.grid.k == 1 else _jacobi(A)
-        x, iterations, broke_down = _bicgstab(A, b, precond, np.zeros(n), tol * b_norm, max_iter)
+        folded, precond = _preconditioned(system, tol)
+        b_fold = b[folded.table.rows]
+        atol = tol * np.linalg.norm(b_fold)
+        x, iterations, broke_down = _bicgstab(folded, b_fold, precond,
+                                              np.zeros(b_fold.size), atol, max_iter)
         if broke_down:  # restart once from the current iterate
-            x0 = x if np.all(np.isfinite(x)) else np.zeros(n)
-            x, more, broke_down = _bicgstab(A, b, precond, x0, tol * b_norm, max_iter)
+            x0 = x if np.all(np.isfinite(x)) else np.zeros(b_fold.size)
+            x, more, broke_down = _bicgstab(folded, b_fold, precond, x0, atol, max_iter)
             iterations += more
+        x = x[folded.table.unfold]
         residual = float(np.linalg.norm(A @ x - b) / b_norm)  # certified on the original system
     converged = residual <= 10.0 * tol and not broke_down
     report = SolveReport(

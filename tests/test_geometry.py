@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -442,6 +442,47 @@ def test_the_cached_geometry_keeps_no_distance_field_or_csr_shadow():
     finally:
         tracemalloc.stop()
     assert retained <= 7 * 2**20, retained / 2**20
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([Ball, Ellipsoid, Box]), k=st.integers(1, 3),
+       h_inv=st.sampled_from([8, 10, 12]), data=st.data())
+def test_inside_masks_equal_their_mirror_images_on_every_y_axis(kind, k, h_inv, data):
+    h = 1.0 / h_inv
+    center = data.draw(st.lists(st.floats(-h / 2, h / 2), min_size=k, max_size=k))
+    extents = data.draw(st.lists(st.floats(0.5, 1.2), min_size=k + 1, max_size=k + 1))
+    dom = (Ball(extents[0], center=center) if kind is Ball
+           else kind(tuple(extents), center=center))
+    grid = StaggeredGrid.from_domain(dom, h)
+    # a node within rounding of the boundary may fall on either side of it
+    assume(np.min(np.abs(dom.signed_distance(grid.node_points()))) > 1e-9 * h)
+    geo = GridGeometry(dom, grid)
+    for axis in range(1, k + 1):
+        assert np.array_equal(geo.inside, np.flip(geo.inside, axis))
+    assert geo.neighbours.mirror_axes == tuple(range(1, k + 1))
+
+
+def test_a_mask_unequal_to_its_mirror_image_does_not_fold():
+    # faces through the nodes: rounding puts the face nodes inside on one side
+    dom = Box(half_widths=(0.45, 0.45, 0.45), center=(0.0, 0.0))
+    geo = GridGeometry(dom, StaggeredGrid.from_domain(dom, 0.1))
+    for axis in (1, 2):
+        assert not np.array_equal(geo.inside, np.flip(geo.inside, axis))
+    assert geo.neighbours.mirror_axes == ()
+
+
+def test_a_lattice_not_mirrored_about_the_centre_does_not_fold():
+    # the masks equal their mirror images, but the cut arms do not
+    dom = Box(half_widths=(0.52, 0.52), center=(0.0,))
+    grid = StaggeredGrid.from_domain(dom, 0.1)
+    assert GridGeometry(dom, grid).neighbours.mirror_axes == (1,)
+    off_centre = dataclasses.replace(grid, y_start=(grid.y_start[0] + 0.01,))
+    odd_count = dataclasses.replace(grid, n_y=(grid.n_y[0] + 1,),
+                                    y_start=(grid.y_start[0] - 0.05,))
+    for lattice in (off_centre, odd_count):
+        geo = GridGeometry(dom, lattice)
+        assert np.array_equal(geo.inside, np.flip(geo.inside, 1))
+        assert geo.neighbours.mirror_axes == ()
 
 
 def test_empty_domain_raises():

@@ -130,7 +130,7 @@ def test_certified_residual_matches_manual_recomputation():
 
 
 def test_no_convergence_carries_best_iterate_and_report():
-    system = _ball_system()
+    system = _ball_system(h=1.0 / 32)  # folded, h = 1/16 is one dense V-cycle solve
     with pytest.raises(NoConvergence) as err:
         solve(system, tol=1e-14, max_iter=1)
     exc = err.value
@@ -143,10 +143,11 @@ def test_no_convergence_carries_best_iterate_and_report():
     assert np.all(np.isfinite(exc.best.values[geo.inside]))
 
 
-def _scipy_reference(system, precond=None, tol=1e-10, max_iter=20000):
-    """(solution, iterations) of scipy's bicgstab on -A, Jacobi-preconditioned,
-    or preconditioned by v -> precond(-v) given a preconditioner of A."""
-    A_neg = -_csr(system.A)
+def _scipy_reference(A, b, precond=None, tol=1e-10, max_iter=20000):
+    """(solution, iterations) of scipy's bicgstab on -A x = -b,
+    Jacobi-preconditioned, or preconditioned by v -> precond(-v) given a
+    preconditioner of A."""
+    A_neg = -_csr(A)
     if precond is None:
         d = A_neg.diagonal()
         d = np.where(np.abs(d) > 0, d, 1.0)
@@ -158,7 +159,7 @@ def _scipy_reference(system, precond=None, tol=1e-10, max_iter=20000):
     def cb(xk):
         count[0] += 1
 
-    x, info = spla.bicgstab(A_neg, -system.b, rtol=tol, atol=0.0, maxiter=max_iter,
+    x, info = spla.bicgstab(A_neg, -b, rtol=tol, atol=0.0, maxiter=max_iter,
                             M=M, callback=cb)
     assert info == 0
     return x, count[0]
@@ -185,16 +186,19 @@ def _reference_system(domain, h):
 @pytest.mark.parametrize("domain,h", _REFERENCE_CASES)
 def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
     system = _reference_system(domain, h)
-    want, iterations = _scipy_reference(system)
+    want, iterations = _scipy_reference(system.A, system.b)
     got, its, broke_down = solver_module._bicgstab(
         system.A, system.b, solver_module._jacobi(system.A), np.zeros(system.n),
         1e-10 * np.linalg.norm(system.b), 20000)
     assert not broke_down
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert its == iterations
-    if system.grid.k > 1:  # solve keeps Jacobi there
+    if system.grid.k > 1:  # solve keeps Jacobi there, on the folded system
+        folded, _ = solver_module._preconditioned(system, 1e-10)
+        assert folded.shape[0] * 2 ** system.grid.k == system.n
+        want, iterations = _scipy_reference(folded, system.b[folded.table.rows])
         u, report = solve(system)
-        assert u.active_values().tobytes() == want.tobytes()
+        assert u.active_values().tobytes() == want[folded.table.unfold].tobytes()
         assert report.iterations == iterations
 
 
@@ -202,9 +206,12 @@ def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
 @pytest.mark.parametrize("domain,h", [c for c in _REFERENCE_CASES if len(c[0].center) == 1])
 def test_vcycle_loop_reproduces_scipy_bit_for_bit(domain, h):
     system = _reference_system(domain, h)
-    want, iterations = _scipy_reference(system, solver_module._vcycle(system))
+    folded, precond = solver_module._preconditioned(system, 1e-10)
+    assert folded.shape[0] * 2 == system.n
+    want, iterations = _scipy_reference(folded, system.b[folded.table.rows], precond)
     u, report = solve(system)
     got = u.active_values()
+    want = want[folded.table.unfold]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert report.iterations == iterations
 
@@ -253,19 +260,100 @@ def test_vcycle_solves_the_large_a_ball():
 
 
 def test_vcycle_levels_are_built_once_and_freed_with_the_matrix():
-    system = _ball_system()
+    system = _ball_system(h=1.0 / 32)
     solve(system)
-    levels = system.A.hierarchy
-    assert levels is not None
+    hierarchy = system.A.hierarchy
+    assert hierarchy is not None
+    axes, values, table, (levels, _) = hierarchy
+    # the levels are built on the folded matrix, the fundamental half
+    assert axes == (1,) and table.rows.size * 2 == system.n
+    assert levels[0][0] is values and levels[0][1] is table.columns
     solve(system.with_data(-2.0, 0.0))  # the calibration solve's path
-    assert system.A.hierarchy is levels
-    ref = weakref.ref(system.A)
+    assert system.A.hierarchy is hierarchy
+    refs = [weakref.ref(obj) for obj in (system.A, table)]
+    del hierarchy, values, table, levels
     gc.disable()
     try:
         del system
-        assert ref() is None  # freed by reference counting: no cycle holds it
+        # freed by reference counting: no cycle holds them
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def _full_solve(system, tol):
+    """x of `_bicgstab` on the whole system, with the preconditioner solve
+    builds for an unfolded matrix of its k."""
+    A = system.A
+    if system.grid.k == 1:
+        levels, coarsest = solver_module._hierarchy(A)
+        precond = lambda v: solver_module._cycle(levels, coarsest, v)  # noqa: E731
+    else:
+        precond = solver_module._jacobi(A)
+    x, _, broke_down = solver_module._bicgstab(
+        A, system.b, precond, np.zeros(system.n), tol * np.linalg.norm(system.b), 20000)
+    assert not broke_down
+    return x
+
+
+@pytest.mark.parametrize("domain,h", [
+    (Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.1, -0.05)), 1 / 16),
+    (Ellipsoid(semi_axes=(1.0, 2.0)), 1 / 48),
+])
+def test_folded_and_full_solves_agree(domain, h):
+    system = _reference_system(domain, h)
+    assert system.A.even_axes(system.b, 1e-10) == tuple(range(1, domain.k + 1))
+    folded, _ = solver_module._preconditioned(system, 1e-10)
+    assert folded.shape[0] * 2 ** domain.k == system.n
+    u, report = solve(system)
+    x = u.active_values()
+    want = _full_solve(system, 1e-12)
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+    assert report.n_unknowns == system.n
+    # certified on the full system, not the folded one
+    res = float(np.linalg.norm(system.A @ x - system.b) / np.linalg.norm(system.b))
+    assert report.final_relative_residual == res
+    assert res <= 10.0 * 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_data_that_are_not_even_are_solved_unfolded(k):
+    sys0 = _ball_system(h=1.0 / 16, k=k)
+    axes = tuple(range(1, k + 1))
+    assert sys0.A.even_axes(sys0.b, 1e-10) == axes  # constant data are even
+
+    def even(pts):
+        return -1.0 - np.sum(pts[..., 1:] ** 2, axis=-1)
+
+    def odd_in_y1(pts):
+        return -1.0 - 0.5 * pts[..., 1]
+
+    assert sys0.A.even_axes(sys0.with_data(even, 0.0).b, 1e-10) == axes
+    system = sys0.with_data(odd_in_y1, 0.0)
+    assert system.A.even_axes(system.b, 1e-10) == axes[1:]
+    u, _ = solve(system)
+    if k == 1:  # y1 is the only mirror axis: nothing folds
+        assert system.A.fold(()) is system.A
+        assert u.active_values().tobytes() == _full_solve(system, 1e-10).tobytes()
+    else:  # folded over y2 alone
+        folded, _ = solver_module._preconditioned(system, 1e-10)
+        assert folded.shape[0] * 2 == system.n
+        want = _full_solve(system, 1e-12)
+        assert np.max(np.abs(u.active_values() - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_a_hand_built_matrix_that_is_not_even_is_solved_unfolded():
+    # -(1 + y1^2 + y1) on the diagonal: its mirror image on y1 differs
+    sys0 = _ball_system(h=1.0 / 16)
+    y1 = sys0.grid.points_at(grid_geometry(sys0.domain, sys0.grid).inside)[:, 1]
+    mid = sys0.A.values.shape[0] // 2
+    system = _slot_system(sys0, {mid: -(1.0 + y1 ** 2 + y1)}, np.full(sys0.n, -1.0))
+    assert system.A.even_axes(system.b, 1e-10) == ()
+    u, _ = solve(system, tol=1e-12)
+    assert u.active_values().tobytes() == _full_solve(system, 1e-12).tobytes()
+    # without the odd term it is even, and folds
+    even = _slot_system(sys0, {mid: -(1.0 + y1 ** 2)}, system.b)
+    assert even.A.even_axes(even.b, 1e-10) == (1,)
 
 
 def test_vcycle_iterations_barely_grow_with_refinement():

@@ -235,23 +235,25 @@ def test_coarse_operators_match_the_csr_galerkin_product(name, monkeypatch):
     domain, grid, a = _CASES[name]
     system = assemble_torsion_system(domain, grid, WeinsteinParams(a=a, k=domain.k))
     monkeypatch.setattr(solver, "COARSEST", 16)  # coarsen even the 30-row grazing ball
-    levels, _ = solver._hierarchy(system.A, grid_geometry(domain, grid))
-    assert levels
+    assert solver._hierarchy(system.A)[0]
     rng = np.random.default_rng(5)
-    for i, (values, columns, _, agg) in enumerate(levels):
-        n_coarse = int(agg.max()) + 1
-        P = sp.csr_matrix((np.ones(agg.size), (np.arange(agg.size), agg)),
-                          shape=(agg.size, n_coarse))
-        want = (P.T @ _scipy_slots(values, columns) @ P).tocsr()
-        coarse, coarse_columns = solver._coarsen(values, columns, agg, n_coarse)
-        if i + 1 < len(levels):
-            assert _bitwise_equal(coarse, levels[i + 1][0])
-        got = _scipy_slots(coarse, coarse_columns)
-        assert abs(got - want).max() <= 1e-13 * abs(want).max()
-        # the coarse lattice keeps the slot layout, so the product's shifted
-        # slices still find the fast-axis neighbours
-        x = rng.standard_normal(n_coarse)
-        assert _bitwise_equal(slot_product(coarse, coarse_columns, x), got @ x)
+    # the levels of A and of A folded over its mirror axes (A itself if none)
+    for matrix in (system.A, system.A.fold(system.A.table.mirror_axes)):
+        levels, _ = solver._hierarchy(matrix)
+        for i, (values, columns, _, agg) in enumerate(levels):
+            n_coarse = int(agg.max()) + 1
+            P = sp.csr_matrix((np.ones(agg.size), (np.arange(agg.size), agg)),
+                              shape=(agg.size, n_coarse))
+            want = (P.T @ _scipy_slots(values, columns) @ P).tocsr()
+            coarse, coarse_columns = solver._coarsen(values, columns, agg, n_coarse)
+            if i + 1 < len(levels):
+                assert _bitwise_equal(coarse, levels[i + 1][0])
+            got = _scipy_slots(coarse, coarse_columns)
+            assert abs(got - want).max() <= 1e-13 * abs(want).max()
+            # the coarse lattice keeps the slot layout, so the product's
+            # shifted slices still find the fast-axis neighbours
+            x = rng.standard_normal(n_coarse)
+            assert _bitwise_equal(slot_product(coarse, coarse_columns, x), got @ x)
 
 
 def _cut_arms(geo):
@@ -298,11 +300,12 @@ def _reference_arm(geo, axis, direction):
 def _reference_arm_values(field, geo, axis):
     """(h_plus, v_plus, h_minus, v_minus) over grid.shape: cut arms take the
     field's Dirichlet data, the r < 0 ghost the parity reflection."""
-    sign = -1.0 if field.parity == "odd" else 1.0
     out = []
     for direction in (1, -1):
         arm, cut, cut_pts = _reference_arm(geo, axis, direction)
-        nb = shift(field.values, axis, direction, np.nan, sign)
+        nb = shift(field.values, axis, direction, np.nan)
+        if axis == R_AXIS and direction == -1 and field.parity == "odd":
+            nb[0] *= -1.0  # the mirror across r = 0 of an odd field
         if cut.any():
             nb[cut] = on_points(field.boundary_values, cut_pts)
         out += [arm, nb]
