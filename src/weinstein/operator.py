@@ -384,34 +384,61 @@ def normal_derivative_at_axis(field):
 # ---------------------------------------------------------------------------
 
 
-CSV_BLOCK_ROWS = 2048  # rows formatted per string operation; bounds the text in memory
+CSV_BLOCK_ROWS = 2048  # least rows per block of whole r layers; bounds the text in memory
+
+
+def _mirror_classes(values, table):
+    """int32 representative of each row's mirror class: the least row among
+    its images over the table's `mirror_axes` on which `values` equals its
+    mirror image bit for bit (so -0.0 and 0.0 stay apart).  A row
+    represents its class where the result equals its index."""
+    rep = np.arange(values.size, dtype=np.int32)
+    bits = values.view(np.int64)
+    for axis in table.mirror_axes:
+        mirror = table.mirror(axis)
+        if np.array_equal(bits, bits.take(mirror)):
+            np.minimum(rep, rep.take(mirror), out=rep)
+    return rep
 
 
 def field_to_csv(field, path):
     """Write `r,y1,...,yk,u` rows (17 significant digits) for active nodes.
 
     Each lattice coordinate is formatted once per axis (`%.17g`) and a
-    row's coordinates are gathered from that text by its node index, so
-    only `u` is formatted per row.  The rows come in C order of the
-    lattice, the order of `values[inside]`."""
+    row's coordinates are gathered from that text by its node index.  `u`
+    is formatted once per mirror class (`_mirror_classes`), and each row
+    gathers its class's text.  A mirror maps y axes only, so a class lies
+    in one r layer, and the rows are written in blocks of whole r layers,
+    at least `CSV_BLOCK_ROWS` rows or one layer if that is larger.  The
+    rows come in C order of the lattice, the order of `values[inside]`."""
     grid = field.grid
     geo = grid_geometry(field.domain, field.grid)
-    index = np.nonzero(geo.inside)
+    values = field.values[geo.inside]
+    rep = _mirror_classes(values, geo.neighbours)
+    # rows run r slowest: the rows of r layers 0..i end at ends[i]
+    ends = np.cumsum(np.count_nonzero(geo.inside.reshape(grid.n_r, -1), axis=1))
     axis_text = [np.array(["%.17g," % c for c in axis.tolist()], dtype=object)
                  for axis in grid.axes()]
-    values = field.values[geo.inside]
     header = "r," + ",".join(f"y{m + 1}" for m in range(grid.k)) + ",u"
-    line = "%s" * (grid.k + 1) + "%.17g\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, values.size, CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
-            u = values[rows]
-            block = np.empty((u.size, grid.k + 2), dtype=object)
-            for col, (text, node) in enumerate(zip(axis_text, index)):
-                block[:, col] = text[node[rows]]
-            block[:, -1] = u
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        lo = layer = 0
+        while lo < values.size:
+            # the block is r layers layer..top, top the first layer at which
+            # it holds CSV_BLOCK_ROWS rows, or the last layer
+            top = min(int(np.searchsorted(ends, lo + CSV_BLOCK_ROWS)), ends.size - 1)
+            hi = int(ends[top])
+            own = rep[lo:hi] == np.arange(lo, hi)
+            u = values[lo:hi][own].tolist()
+            text = np.array((("%.17g\n" * len(u)) % tuple(u)).splitlines(True), dtype=object)
+            index = np.nonzero(geo.inside[layer:top + 1])
+            block = np.empty((hi - lo, grid.k + 2), dtype=object)
+            block[:, 0] = axis_text[0][layer + index[0]]
+            for col in range(1, grid.k + 1):
+                block[:, col] = axis_text[col][index[col]]
+            block[:, -1] = text[(np.cumsum(own) - 1)[rep[lo:hi] - lo]]
+            fh.write("".join(block.ravel().tolist()))
+            lo, layer = hi, top + 1
 
 
 def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):

@@ -316,6 +316,33 @@ def test_folded_and_full_solves_agree(domain, h):
     assert res <= 10.0 * 1e-10
 
 
+@pytest.mark.parametrize("k,h", [(1, 1 / 24), (2, 1 / 16), (3, 1 / 8)])
+def test_a_folded_solve_is_even_bit_for_bit_across_each_mirror_axis(k, h):
+    """One gather unfolds x, so mirror images hold the same float; the CSV
+    writer formats u once per mirror class on the strength of this."""
+    domain = Ball(1.0, center=(0.03,) + (0.0,) * (k - 1))
+    system = assemble_torsion_system(domain, StaggeredGrid.from_domain(domain, h),
+                                     WeinsteinParams(a=1.0, k=k))
+    table = system.A.table
+    assert table.mirror_axes == tuple(range(1, k + 1))
+    u, _ = solve(system)
+    bits = u.active_values().view(np.int64)
+    for axis in table.mirror_axes:
+        assert np.array_equal(bits, bits[table.mirror(axis)])
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 4194, 100_003])
+def test_norm_is_linalg_norm_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    # many draws at unit scale: another summation order differs in the
+    # last bit on about a third of them; then underflow and overflow
+    for scale in (1.0,) * 50 + (1e-160, 1e-10, 1e150, 1e160):
+        v = scale * rng.standard_normal(size)
+        with np.errstate(over="ignore"):
+            got, want = solver_module._norm(v), np.linalg.norm(v)
+        assert np.float64(got).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_data_that_are_not_even_are_solved_unfolded(k):
     sys0 = _ball_system(h=1.0 / 16, k=k)

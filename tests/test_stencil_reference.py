@@ -47,7 +47,7 @@ from weinstein.field import on_points
 from weinstein.geometry import ARM_FLOOR, R_AXIS, shift, three_point_weights
 from weinstein.measure import r_cell_measure
 from weinstein import solver
-from weinstein.operator import CSV_BLOCK_ROWS, slot_product
+from weinstein.operator import CSV_BLOCK_ROWS, _mirror_classes, slot_product
 
 
 def _reference_stencil(domain, grid, params):
@@ -408,6 +408,69 @@ def test_block_csv_writer_matches_the_row_loop_bytes(tmp_path, domain, h, blocks
     field_to_csv(field, tmp_path / "block.csv")
     _reference_csv(field, tmp_path / "loop.csv")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def _assert_writes_the_row_loop_bytes(field, tmp_path):
+    field_to_csv(field, tmp_path / "block.csv")
+    _reference_csv(field, tmp_path / "loop.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def _representatives(field):
+    """Count of the rows that represent their mirror class in the writer."""
+    table = grid_geometry(field.domain, field.grid).neighbours
+    rep = _mirror_classes(field.active_values(), table)
+    return int(np.count_nonzero(rep == np.arange(rep.size)))
+
+
+@pytest.mark.parametrize("k,h", [(1, 1 / 24), (2, 1 / 16), (3, 1 / 8)])
+def test_class_writer_matches_the_row_loop_on_folded_torsion_fields(tmp_path, k, h):
+    domain = Ball(1.0, center=(0.03,) + (0.0,) * (k - 1))
+    grid = StaggeredGrid.from_domain(domain, h)
+    system = assemble_torsion_system(domain, grid, WeinsteinParams(a=1.0, k=k))
+    assert system.A.table.mirror_axes == tuple(range(1, k + 1))
+    u, _ = solve(system)
+    # u is even over every y axis: each class holds 2^k rows
+    assert _representatives(u) * 2 ** k == system.n
+    _assert_writes_the_row_loop_bytes(u, tmp_path)
+
+
+def test_class_writer_folds_data_odd_in_y1_over_y2_alone(tmp_path):
+    domain = Ball(1.0, center=(0.0, 0.0))
+    grid = StaggeredGrid.from_domain(domain, 1 / 16)
+    system = assemble_torsion_system(domain, grid, WeinsteinParams(a=1.0, k=2))
+    u, _ = solve(system.with_data(lambda pts: -1.0 - pts[..., 1], 0.0))
+    assert _representatives(u) * 2 == system.n
+    _assert_writes_the_row_loop_bytes(u, tmp_path)
+
+
+def test_class_writer_keeps_signed_zeros_on_mirror_pairs_apart(tmp_path):
+    domain = Ball(1.0, center=(0.0, 0.0))
+    grid = StaggeredGrid.from_domain(domain, 1 / 16)
+    table = grid_geometry(domain, grid).neighbours
+    u, _ = solve(assemble_torsion_system(domain, grid, WeinsteinParams(a=1.0, k=2)))
+    values = u.active_values()
+    rows = np.arange(3)
+    for rows_y2 in (rows, table.mirror(2)[rows]):  # even over y2 bit for bit
+        values[rows_y2] = 0.0
+        values[table.mirror(1)[rows_y2]] = -0.0  # equal to 0.0, not as bits
+    field = ScalarField.from_active_vector(grid, domain, values, boundary_values=0.0)
+    assert _representatives(field) * 2 == values.size
+    _assert_writes_the_row_loop_bytes(field, tmp_path)
+
+
+def test_class_writer_writes_an_r_layer_larger_than_a_block_whole(tmp_path):
+    domain = Ball(1.0, center=(0.0, 0.0, 0.0))
+    grid = StaggeredGrid.from_domain(domain, 1 / 10)
+    table = grid_geometry(domain, grid).neighbours
+    assert np.bincount(table.row_r).max() > CSV_BLOCK_ROWS
+    index = np.indices(grid.shape)
+    # squared distance from the centre in half steps: integer, so exactly even
+    steps = sum((2 * index[1 + m] - (n - 1)) ** 2 for m, n in enumerate(grid.n_y))
+    values = np.cos(grid.node_points()[..., 0]) / (1.0 + steps * grid.h_y ** 2)
+    field = ScalarField(grid=grid, domain=domain, values=values, boundary_values=0.0)
+    assert _representatives(field) * 8 == table.row_r.size
+    _assert_writes_the_row_loop_bytes(field, tmp_path)
 
 
 def _reference_donors(geo):
