@@ -462,8 +462,8 @@ class NeighbourTable:
     `mirror_axes` are the y axes j whose lattice mirrors about c_j (an even
     node count, symmetric about the centre) with an `inside` mask equal to
     its flip: the axes a solve with even data may fold over (`MirrorFold`),
-    with `mirror(j)` the row of each row's mirror image.  The table is its
-    own fold over none, so its `rows` and `unfold` select all."""
+    with `mirror(j)` each row's mirror image and `classes(axes)` the mirror
+    classes.  The table is its own fold over none: `rows`, `unfold` select all."""
 
     rows = unfold = slice(None)
 
@@ -524,35 +524,39 @@ class NeighbourTable:
         row[self.inside] = np.arange(self.columns.shape[1], dtype=np.int32)
         return np.flip(row, axis)[self.inside]
 
+    def classes(self, axes):
+        """int32 map of each row to the largest row among its mirror images
+        over `axes` (some of `mirror_axes`), the image in the upper half of
+        every axis in `axes`; a row represents its class if it maps to itself."""
+        rep = np.arange(self.columns.shape[1], dtype=np.int32)
+        for axis in axes:
+            np.maximum(rep, rep.take(self.mirror(axis)), out=rep)
+        return rep
+
 
 class MirrorFold:
     """A `NeighbourTable` folded over the mirrors y_j -> 2 c_j - y_j of the
-    lattice axes `axes` (some of its `mirror_axes`), built per solve and
-    freed with it.
+    lattice axes `axes` (some of its `mirror_axes`), kept on the matrix it
+    folds (`operator.SlotMatrix.fold`).
 
-    Its rows are the fundamental rows: the inside nodes whose index lies in
-    the upper half of every folded axis, in C order, with the lattice mask
-    `inside` (a view of the upper part of the table's).  `rows` (int32) are
-    their rows in the table; `unfold` (int32) maps each row of the table to
-    the fundamental row of its mirror image, so x = x_fold[unfold] and
-    b_fold = b[rows].  `columns` are the table's columns of `rows` mapped
-    through `unfold`: a neighbour across a mirror plane maps to the row
-    itself, and along the last lattice axis a neighbour is still the next
-    or previous row."""
+    Its rows are the fundamental rows, the representatives of the table's
+    `classes(axes)`: the inside nodes in the upper half of every folded
+    axis, in C order, with the lattice mask `inside` (a view of the upper
+    part of the table's).  `rows` (int32) are their rows in the table;
+    `unfold` (int32) maps each row of the table to the fundamental row of
+    its class, so x = x_fold[unfold] and b_fold = b[rows].  `columns` are
+    the table's columns of `rows` mapped through `unfold`: a neighbour
+    across a mirror plane maps to the row itself, and along the last
+    lattice axis a neighbour is still the next or previous row."""
 
     def __init__(self, table, axes):
-        upper = tuple(slice(n // 2 if axis in axes else 0, None)
-                      for axis, n in enumerate(table.inside.shape))
-        self.inside = table.inside[upper]
-        fundamental = np.full(table.inside.shape, -1, dtype=np.int32)
-        fundamental[upper][self.inside] = np.arange(np.count_nonzero(self.inside),
-                                                    dtype=np.int32)
-        self.rows = np.flatnonzero(fundamental[table.inside] >= 0).astype(np.int32)
-        for axis in axes:  # each lower half reads its mirror in the upper one
-            lower = tuple(slice(n // 2) if a == axis else slice(None)
-                          for a, n in enumerate(table.inside.shape))
-            fundamental[lower] = np.flip(fundamental, axis)[lower]
-        self.unfold = fundamental[table.inside]
+        self.axes = axes
+        self.inside = table.inside[tuple(slice(n // 2 if axis in axes else 0, None)
+                                         for axis, n in enumerate(table.inside.shape))]
+        rep = table.classes(axes)
+        own = rep == np.arange(rep.size, dtype=np.int32)
+        self.rows = np.flatnonzero(own).astype(np.int32)
+        self.unfold = (np.cumsum(own, dtype=np.int32) - 1)[rep]
         self.columns = self.unfold[table.columns[:, self.rows]]
 
 

@@ -25,9 +25,9 @@ A is a `SlotMatrix`: one row of values per slot of the table, whose
 
 `assemble_torsion_system` returns one `SparseSystem`, which owns A and
 the Dirichlet couplings of the cut arms; `SparseSystem.with_data` gives
-the system for other data on the same matrix.  No matrix is cached: one
-lives as long as the systems that hold it (the grid geometry and its
-table are cached, in `geometry.grid_geometry`).
+the system for other data on the same matrix.  No matrix is cached: one,
+and the fold solves keep on it, live as long as the systems that hold it
+(the grid geometry and its table are cached, in `geometry.grid_geometry`).
 """
 
 from __future__ import annotations
@@ -87,17 +87,18 @@ class SlotMatrix:
 
     `even_axes` are the table's mirror axes on which A and given data are
     their own mirror images, and `fold` gives A on the fundamental rows of
-    some of them.  `hierarchy` holds what a k = 1 solve builds for this
-    matrix (None before): the axes it folded over, the folded matrix's
-    values and table, and the solver's V-cycle levels, so every system on
-    the matrix whose data are even on the same axes shares them.  It holds
-    one fold: a solve over other axes replaces it."""
+    some of them; A keeps its last fold, for every system on it whose data
+    are even on the same axes.  `levels` are the solver's V-cycle levels
+    for the matrix a solve iterates on, the fold (A itself over no axes),
+    None until a k = 1 solve builds them.  Nothing in a fold or its levels
+    refers to A, so all are freed with A."""
 
     def __init__(self, values, table):
         self.values = values
         self.table = table
         self.shape = (values.shape[1], values.shape[1])
-        self.hierarchy = None
+        self.levels = None
+        self._folded = None
 
     def __matmul__(self, x):
         return slot_product(self.values, self.table.columns, x)
@@ -137,19 +138,21 @@ class SlotMatrix:
         plane (its column is now the row itself) added into the diagonal
         and zeroed, as `solver._coarsen` merges an aggregate's own columns.
         For an even x, A x on the kept rows is this matrix times x on them.
-        Over no axes it is A itself."""
+        Over no axes it is A itself; A keeps the last fold it built."""
         if not axes:
             return self
-        table = MirrorFold(self.table, axes)
-        values = self.values[:, table.rows]
-        mid = values.shape[0] // 2
-        own = np.arange(table.rows.size, dtype=np.int32)
-        for slot, columns in enumerate(table.columns):
-            across = columns == own
-            if slot != mid:
-                values[mid, across] += values[slot, across]
-                values[slot, across] = 0.0
-        return SlotMatrix(values, table)
+        if self._folded is None or self._folded.table.axes != axes:
+            table = MirrorFold(self.table, axes)
+            values = self.values[:, table.rows]
+            mid = values.shape[0] // 2
+            own = np.arange(table.rows.size, dtype=np.int32)
+            for slot, columns in enumerate(table.columns):
+                across = columns == own
+                if slot != mid:
+                    values[mid, across] += values[slot, across]
+                    values[slot, across] = 0.0
+            self._folded = SlotMatrix(values, table)
+        return self._folded
 
     def _present(self):
         """Row-major mask: the diagonal, and each slot whose column is not its row."""
@@ -388,17 +391,11 @@ CSV_BLOCK_ROWS = 2048  # least rows per block of whole r layers; bounds the text
 
 
 def _mirror_classes(values, table):
-    """int32 representative of each row's mirror class: the least row among
-    its images over the table's `mirror_axes` on which `values` equals its
-    mirror image bit for bit (so -0.0 and 0.0 stay apart).  A row
-    represents its class where the result equals its index."""
-    rep = np.arange(values.size, dtype=np.int32)
+    """The table's `classes` over its `mirror_axes` on which `values`
+    equals its mirror image bit for bit (so -0.0 and 0.0 stay apart)."""
     bits = values.view(np.int64)
-    for axis in table.mirror_axes:
-        mirror = table.mirror(axis)
-        if np.array_equal(bits, bits.take(mirror)):
-            np.minimum(rep, rep.take(mirror), out=rep)
-    return rep
+    return table.classes(tuple(axis for axis in table.mirror_axes
+                               if np.array_equal(bits, bits.take(table.mirror(axis)))))
 
 
 def field_to_csv(field, path):

@@ -354,10 +354,10 @@ _BOUNDARY_CHECKS = {
 }
 
 
-def _manufactured_gradient_error(system, solver_tol, max_iter):
-    """Solve a known even quartic on the matrix of `system` and measure the
-    max nodal and deep-node gradient errors, used to calibrate tolerances."""
-    domain, grid, params = system.domain, system.grid, system.params
+def _manufactured_quartic(system):
+    """A known even quartic v and the system for it on the matrix of
+    `system`, whose solve calibrates the tolerance of p_constancy."""
+    domain, params = system.domain, system.params
     k = params.k
     r = PolyField.variable(0, k + 1)
     rho2 = r * r
@@ -366,25 +366,26 @@ def _manufactured_gradient_error(system, solver_tol, max_iter):
         rho2 = rho2 + ym * ym
     v = rho2 * rho2 + rho2  # even in r, genuinely quartic
 
-    weights = BesselWeights.weinstein(params)
-    rhs_poly = bessel_sum_apply(v, weights)
+    rhs_poly = bessel_sum_apply(v, BesselWeights.weinstein(params))
     quartic = system.with_data(
         rhs=lambda pts: rhs_poly.eval_float(domain.offset(pts)),
         dirichlet=lambda pts: v.eval_float(domain.offset(pts)),
     )
-    v_h, _ = solve(quartic, tol=solver_tol, max_iter=max_iter)
-    del quartic  # its b
+    return v, quartic
+
+
+def _manufactured_errors(v, v_h):
+    """The max nodal and deep-node gradient errors of the solve v_h of the
+    quartic v (`_manufactured_quartic`)."""
     geo = v_h.geometry
-    q = domain.offset(grid.points_at(geo.inside))  # the errors read no other node
+    q = v_h.domain.offset(v_h.grid.points_at(geo.inside))  # the errors read no other node
     err = float(np.max(np.abs(v_h.values[geo.inside] - v.eval_float(q))))
 
     mask = deep_mask(geo)  # a subset of geo.inside
     q = q[mask[geo.inside]]  # the deep nodes', before the gradients are built
-    grads_h = gradient_fields(v_h)
     gerr = 0.0
-    for axis in range(k + 1):
-        g_exact = v.diff(axis).eval_float(q)
-        gerr = max(gerr, float(np.max(np.abs(grads_h[axis].values[mask] - g_exact))))
+    for axis, g in enumerate(gradient_fields(v_h)):
+        gerr = max(gerr, float(np.max(np.abs(g.values[mask] - v.diff(axis).eval_float(q)))))
     return err, gerr
 
 
@@ -476,16 +477,18 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         except UnsupportedShape:  # corners, or a ball with k > 3
             pass
 
-    mms_err = mms_gerr = None
+    mms_err = mms_gerr = quartic = v_h = None
     if "p_constancy" in names and sampled:
+        v, quartic = _manufactured_quartic(system)
         try:
-            mms_err, mms_gerr = _manufactured_gradient_error(
-                system, solver_tol, max_iter)
-            extras["mms_max_error"] = mms_err
-            extras["mms_gradient_error"] = mms_gerr
+            v_h, _ = solve(quartic, tol=solver_tol, max_iter=max_iter)
         except (NoConvergence, BreakdownDetected):
-            mms_err = mms_gerr = None
-    del system  # A, its fold and its V-cycle levels: no check reads them
+            pass
+    del system, quartic  # A, its fold and its V-cycle levels: no check reads them
+    if v_h is not None:  # the calibration's errors, measured without A
+        mms_err, mms_gerr = _manufactured_errors(v, v_h)
+        extras["mms_max_error"], extras["mms_gradient_error"] = mms_err, mms_gerr
+        del v_h
 
     # grad u, Gamma = |grad u|^2 and P are built once, for every check that
     # reads them.  grad u has two readers, the boundary probe (|du/dn|, for
@@ -500,6 +503,8 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         return gamma_u
 
     P = functools.cache(lambda: _p_from_gamma(u, g(), params))
+    # u_r on the axis, read by axis_regularity and, at a = 0, by the axis flux
+    axis_dr = functools.cache(lambda: normal_derivative_at_axis(u)[1])
     energy = functools.cache(lambda: _energy_pair(u, params, g()))
     stats = None
     if sampled:
@@ -577,7 +582,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
                                        ok, f"ladder is {ladder.classification}"))
         elif name == "axis_regularity":
             try:
-                _, dvals = normal_derivative_at_axis(u)
+                dvals = axis_dr()
             except GridTooCoarse as exc:  # thin domains may lack three r-layers
                 skipped(name, f"axis probe unavailable ({type(exc).__name__})")
                 continue
@@ -598,9 +603,8 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             extras["sigma0_flux"] = 0.0
         else:
             try:
-                _, dvals = normal_derivative_at_axis(u)
                 # outward normal on the wall is -e_r
-                extras["sigma0_flux"] = -float(np.sum(dvals)) * grid.h_y ** grid.k
+                extras["sigma0_flux"] = -float(np.sum(axis_dr())) * grid.h_y ** grid.k
             except GridTooCoarse:
                 extras["sigma0_flux"] = math.nan
         extras["center_value"] = float(u.interpolate((0.0, *domain.y_center)))

@@ -13,18 +13,19 @@ fundamental rows, 1/2^k of the unknowns (`operator.SlotMatrix.fold`),
 iterates there and unfolds x.  It folds over the axes on which A and b
 equal their mirror images to within tol (`SlotMatrix.even_axes`), so data
 that are not even, and a matrix built by hand that is not, solve
-unfolded.  The figures below are on folded systems, under one BLAS
-thread.  The preconditioner depends on k only:
+unfolded.  A keeps its fold, so a second solve on the same A over the
+same axes, such as the calibration solve of `p_constancy` through
+`SparseSystem.with_data`, reuses it at every k.  The figures below are
+on folded systems, under one BLAS thread.  The preconditioner depends on
+k only:
 
 - k = 1: an aggregation V-cycle (plain aggregation, Braess, Computing 55
   (1995); l1-Jacobi smoother, Baker, Falgout, Kolev & Yang, SIAM J. Sci.
   Comput. 33(5) (2011)).  On the (1, 2) ellipsoid at a = 1 it takes 12,
   13 and 17 iterations at h = 1/48, 1/96 and 1/192, where Jacobi's count
-  doubles with each halving of h (205, 395 and 920).  The fold and its
-  levels are built once per matrix and kept on it (`SlotMatrix.hierarchy`),
-  so a second solve on the same A, such as the calibration solve of
-  `p_constancy` through `SparseSystem.with_data`, reuses them; at h = 1/96
-  they hold 1.6 MB beside A.
+  doubles with each halving of h (205, 395 and 920).  The levels are
+  built once per matrix and kept on the fold (`SlotMatrix.levels`); at
+  h = 1/96 fold and levels hold 1.6 MB beside A.
 - k >= 2: Jacobi.  Those solves take tens of iterations, and the V-cycle
   costs more than it saves (k = 2, h = 1/20: 4 + 17 ms against 15 ms;
   k = 3, h = 1/10: 2 + 16 ms against 8 ms).
@@ -189,22 +190,16 @@ def _preconditioned(system, tol):
     before the coarse correction (after x = b / m), two after it.  The
     piecewise-constant P undershoots smooth errors, so the coarse
     correction is scaled by OVERCORRECTION; unscaled, the ellipsoid counts
-    in the module docstring are 14, 20 and 30.  F and its levels are built
-    on the first solve for A and kept on A (`SlotMatrix.hierarchy`) as
-    arrays, for later solves over the same axes: nothing there refers to
-    A, which is F itself over no axes, so all are freed with A.  At k >= 2
-    the fold is built for each solve and freed with it.
+    in the module docstring are 14, 20 and 30.  F is kept on A and the
+    levels on F (`SlotMatrix.levels`), for later solves over the same axes.
     """
-    A = system.A
-    axes = A.even_axes(system.b, tol)
+    folded = system.A.fold(system.A.even_axes(system.b, tol))
     if system.grid.k > 1:
-        folded = A.fold(axes)
         return folded, _jacobi(folded)
-    if A.hierarchy is None or A.hierarchy[0] != axes:
-        folded = A.fold(axes)
-        A.hierarchy = (axes, folded.values, folded.table, _hierarchy(folded))
-    _, values, table, (levels, coarsest) = A.hierarchy
-    return SlotMatrix(values, table), lambda v: _cycle(levels, coarsest, v)
+    if folded.levels is None:
+        folded.levels = _hierarchy(folded)
+    levels, coarsest = folded.levels
+    return folded, lambda v: _cycle(levels, coarsest, v)
 
 
 def _cycle(levels, coarsest, b, level=0):

@@ -9,11 +9,13 @@ check battery.  Reference values for the unit ball at a = 1, k = 1:
 """
 
 import contextlib
+import gc
 import importlib
 import io
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +233,24 @@ def test_full_battery_probes_the_boundary_once(monkeypatch):
     assert calls == {"boundary_samples": 1, "_normal_gradient": 1}
 
 
+def test_the_axis_probe_is_read_once_at_a_zero(monkeypatch):
+    # at a = 0, axis_regularity and the axis flux share one u_r on the axis
+    probes = []
+    inner = rigidity_module.normal_derivative_at_axis
+
+    def counted(field):
+        probes.append(field)
+        return inner(field)
+
+    monkeypatch.setattr(rigidity_module, "normal_derivative_at_axis", counted)
+    report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), WeinsteinParams(a=0.0, k=1),
+                            h=1.0 / 16, checks=["axis_regularity"])
+    assert [c.status for c in report.checks] == ["pass"]
+    _, dvals = inner(report.u)
+    assert report.extras["sigma0_flux"] == -float(np.sum(dvals)) * report.u.grid.h_y
+    assert len(probes) == 1 and probes[0] is report.u
+
+
 def test_full_battery_differentiates_the_solution_once(monkeypatch):
     # one gradient of u serves the boundary probe and Gamma = |grad u|^2,
     # which is built once and read by the energy, Pohozaev and both P checks
@@ -293,10 +313,15 @@ def test_run_experiment_check_subset_and_unknown_name():
 
 
 def test_failed_calibration_solve_skips_p_constancy(monkeypatch):
-    def no_convergence(*args):
-        raise NoConvergence("calibration solve stopped")
+    solves = []
 
-    monkeypatch.setattr("weinstein.rigidity._manufactured_gradient_error", no_convergence)
+    def no_convergence_after_the_torsion_solve(system, **kwargs):
+        solves.append(system)
+        if len(solves) > 1:  # the calibration solve
+            raise NoConvergence("calibration solve stopped")
+        return solve(system, **kwargs)
+
+    monkeypatch.setattr(rigidity_module, "solve", no_convergence_after_the_torsion_solve)
     report = run_experiment(Ball(1.0), PARAMS, h=1.0 / 16,
                             checks=["p_constancy", "serrin_constancy"])
     status = {c.name: (c.status, c.detail) for c in report.checks}
@@ -304,6 +329,35 @@ def test_failed_calibration_solve_skips_p_constancy(monkeypatch):
     assert status["serrin_constancy"][0] == "pass"
     assert not any(key.startswith("mms_") for key in report.extras)
     assert report.passed
+    assert len(solves) == 2
+
+
+def test_the_matrix_is_freed_before_the_calibration_error_pass(monkeypatch):
+    """A and the fold kept on it are dropped once the calibration solve
+    returns: its gradient pass runs without them."""
+    matrix, at_gradient = [], []
+    quartic, gradient_fields = (rigidity_module._manufactured_quartic,
+                                rigidity_module.gradient_fields)
+
+    def recorded_quartic(system):
+        matrix.append(weakref.ref(system.A))
+        return quartic(system)
+
+    def checked_gradient_fields(field):
+        if not at_gradient:  # the first is the calibration field's
+            at_gradient.append(matrix[0]())
+        return gradient_fields(field)
+
+    monkeypatch.setattr(rigidity_module, "_manufactured_quartic", recorded_quartic)
+    monkeypatch.setattr(rigidity_module, "gradient_fields", checked_gradient_fields)
+    gc.disable()  # freed by reference counting: no cycle holds A
+    try:
+        report = run_experiment(Ball(1.0, center=(0.0, 0.0)), WeinsteinParams(a=1.0, k=2),
+                                h=1.0 / 12, checks=["p_constancy"])
+    finally:
+        gc.enable()
+    assert "mms_gradient_error" in report.extras
+    assert at_gradient == [None]
 
 
 def test_report_serialization_round_trip():

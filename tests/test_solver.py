@@ -36,7 +36,9 @@ from weinstein import (
     grid_geometry,
     solve,
 )
+from weinstein import operator as operator_module
 from weinstein import solver as solver_module
+from weinstein.geometry import MirrorFold
 from weinstein.operator import SlotMatrix
 
 _SCIPY_VERSION = tuple(int(p) for p in scipy.__version__.split(".")[:2])
@@ -259,24 +261,35 @@ def test_vcycle_solves_the_large_a_ball():
     assert np.max(np.abs(u.values[inside] - u_exact(u.grid.node_points()[inside]))) <= 1e-9
 
 
-def test_vcycle_levels_are_built_once_and_freed_with_the_matrix():
-    system = _ball_system(h=1.0 / 32)
+@pytest.mark.parametrize("k,h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
+def test_one_fold_is_built_per_matrix_and_freed_with_it(monkeypatch, k, h):
+    built = []
+
+    def counted(table, axes):
+        built.append(MirrorFold(table, axes))
+        return built[-1]
+
+    monkeypatch.setattr(operator_module, "MirrorFold", counted)
+    system = _ball_system(h=h, k=k)
     solve(system)
-    hierarchy = system.A.hierarchy
-    assert hierarchy is not None
-    axes, values, table, (levels, _) = hierarchy
-    # the levels are built on the folded matrix, the fundamental half
-    assert axes == (1,) and table.rows.size * 2 == system.n
-    assert levels[0][0] is values and levels[0][1] is table.columns
     solve(system.with_data(-2.0, 0.0))  # the calibration solve's path
-    assert system.A.hierarchy is hierarchy
-    refs = [weakref.ref(obj) for obj in (system.A, table)]
-    del hierarchy, values, table, levels
+    folded = system.A.fold(tuple(range(1, k + 1)))
+    assert len(built) == 1 and folded.table is built[0]
+    assert folded.shape[0] * 2 ** k == system.n
+    assert system.A.levels is None
+    if k == 1:  # the V-cycle's levels, built on the fold
+        levels, _ = folded.levels
+        assert levels[0][0] is folded.values and levels[0][1] is folded.table.columns
+        del levels
+    else:  # Jacobi
+        assert folded.levels is None
+    refs = [weakref.ref(obj) for obj in (system.A, folded, folded.table)]
+    del built, folded
     gc.disable()
     try:
         del system
         # freed by reference counting: no cycle holds them
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 

@@ -19,6 +19,8 @@ lattice was read with a mirror layer; the padded gathers must reproduce
 it bit for bit.  scipy's CSR product and its P^T A P are the references
 for the slot-layout product and the V-cycle's coarse operators: the
 product must match bit for bit, the coarse operators to rounding.
+`_reference_fold` is the lattice flip `MirrorFold` built its row maps
+with before it read the table's class map; the maps must be equal.
 """
 
 import dataclasses
@@ -44,7 +46,7 @@ from weinstein import (
 from weinstein.differential import axis_derivative, gradient_fields
 from weinstein.errors import MissingBoundaryData
 from weinstein.field import on_points
-from weinstein.geometry import ARM_FLOOR, R_AXIS, shift, three_point_weights
+from weinstein.geometry import ARM_FLOOR, R_AXIS, MirrorFold, shift, three_point_weights
 from weinstein.measure import r_cell_measure
 from weinstein import solver
 from weinstein.operator import CSV_BLOCK_ROWS, _mirror_classes, slot_product
@@ -373,6 +375,42 @@ def test_derivatives_match_the_fraction_form_to_rounding(name):
         weights = three_point_weights(hm, hp)[0]
         terms = sum(np.abs(w * v) for w, v in zip(weights, (vm, values, vp)))
         assert np.all(np.abs(new - ref)[inside] <= 2e-15 * terms[inside]), axis
+
+
+def _reference_fold(table, axes):
+    """(rows, unfold) of the fold over `axes` from a full-lattice array of
+    fundamental rows, each lower half copied from its flip."""
+    upper = tuple(slice(n // 2 if axis in axes else 0, None)
+                  for axis, n in enumerate(table.inside.shape))
+    fundamental = np.full(table.inside.shape, -1, dtype=np.int32)
+    fundamental[upper][table.inside[upper]] = np.arange(
+        np.count_nonzero(table.inside[upper]), dtype=np.int32)
+    rows = np.flatnonzero(fundamental[table.inside] >= 0).astype(np.int32)
+    for axis in axes:
+        lower = tuple(slice(n // 2) if a == axis else slice(None)
+                      for a, n in enumerate(table.inside.shape))
+        fundamental[lower] = np.flip(fundamental, axis)[lower]
+    return rows, fundamental[table.inside]
+
+
+@pytest.mark.parametrize("domain,h,axes", [
+    (Ball(1.0, center=(0.03,)), 1 / 24, (1,)),
+    (Ball(1.0, center=(0.0, 0.0)), 1 / 16, (1, 2)),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 8, (1, 2, 3)),
+    (Ball(1.0, center=(0.0, 0.0)), 1 / 16, (2,)),
+    (Ellipsoid(semi_axes=(1.0, 1.3, 0.8), center=(0.1, -0.05)), 1 / 16, (1, 2)),
+])
+def test_fold_maps_match_the_lattice_flip_bitwise(domain, h, axes):
+    table = grid_geometry(domain, StaggeredGrid.from_domain(domain, h)).neighbours
+    assert set(axes) <= set(table.mirror_axes)
+    fold = MirrorFold(table, axes)
+    rows, unfold = _reference_fold(table, axes)
+    for got, want in ((fold.rows, rows), (fold.unfold, unfold)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # each row's class is the largest row among its mirror images
+    rep = table.classes(axes)
+    assert np.array_equal(rep, rows[unfold])
+    assert np.all(rep >= np.arange(rep.size))
 
 
 def _reference_csv(field, path):
