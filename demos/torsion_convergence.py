@@ -34,7 +34,7 @@ for hinv in (8, 16, 32, 64):
     u, rep = solve(assemble_torsion_system(dom, grid, params))
     pts = grid.node_points()[u.geometry.inside]
     exact = (1.0 - np.sum(pts**2, axis=-1)) / (2 * N)
-    err = np.max(np.abs(u.active_values() - exact))
+    err = np.max(np.abs(u.active - exact))
     print(f"{1.0/hinv:>8.4f} {err:>12.3e} {rep.iterations:>6d} "
           f"{rep.final_relative_residual:>10.2e}")
 
@@ -57,7 +57,7 @@ for hinv in (8, 16, 32):
         dirichlet=lambda q: v.eval_float(q))
     w, _ = solve(sys_, tol=1e-11)
     exact = ScalarField.from_function(dom, grid, lambda q: v.eval_float(q))
-    err = np.max(np.abs(w.active_values() - exact.active_values()))
+    err = np.max(np.abs(w.active - exact.active))
     order = "" if prev is None else f"{math.log2(prev / err):7.2f}"
     print(f"{1.0/hinv:>8.4f} {err:>12.3e} {order:>7}")
     prev = err

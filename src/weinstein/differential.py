@@ -14,23 +14,22 @@ import numpy as np
 
 from .errors import MissingBoundaryData
 from .field import ScalarField, on_points
-from .geometry import R_AXIS, grid_geometry, shift, three_point_weights
+from .geometry import R_AXIS, shift, three_point_weights
 
 
 def axis_derivative(field, axis):
-    """Shortley-Weller first derivative along `axis` as a full-shape array
-    (NaN outside): neighbours gathered through the table's columns, centred
-    weights on every inside row, the table's unequal-arm weights on its near
-    rows, and on a cut arm the field's Dirichlet data at its cut point."""
-    geo = grid_geometry(field.domain, field.grid)
-    table = geo.neighbours
+    """Shortley-Weller first derivative along `axis`, one value per table
+    row (the layout of `ScalarField.active`): neighbours gathered through
+    the table's columns, centred weights on every inside row, the table's
+    unequal-arm weights on its near rows, and on a cut arm the field's
+    Dirichlet data at its cut point."""
+    table = field.geometry.neighbours
     dim = field.grid.k + 1
     sign = -1.0 if field.parity == "odd" else 1.0
-    values = field.values[geo.inside]
     nb = {}
     for direction in (1, -1):
         slot = dim + direction * (dim - axis)
-        nb[direction] = values.take(table.columns[slot])
+        nb[direction] = field.active.take(table.columns[slot])
         if slot == 0:  # the first r layer's (r,-) column is the row, its own mirror
             nb[direction][table.row_r == 0] *= sign
         cut = table.bc_slots == slot
@@ -47,9 +46,7 @@ def axis_derivative(field, axis):
     for full, part in zip(weights, table.weights[axis][0]):
         full[table.near] = part
     w_m, w_0, w_p = weights
-    d = np.full(field.grid.shape, np.nan)
-    d[geo.inside] = w_m * nb[-1] + w_0 * values + w_p * nb[1]
-    return d
+    return w_m * nb[-1] + w_0 * field.active + w_p * nb[1]
 
 
 def gradient_fields(field):
@@ -57,10 +54,9 @@ def gradient_fields(field):
     flip = {"even": "odd", "odd": "even"}
     outs = []
     for axis in range(field.grid.k + 1):
-        arr = axis_derivative(field, axis)
         parity = flip[field.parity] if axis == R_AXIS else field.parity
         outs.append(ScalarField(grid=field.grid, domain=field.domain,
-                                values=arr, boundary_values=None, parity=parity))
+                                active=axis_derivative(field, axis), parity=parity))
     return outs
 
 

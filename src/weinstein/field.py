@@ -1,12 +1,14 @@
 """Grid fields and reflection-aware multilinear interpolation.
 
-A ScalarField stores one value per grid node (NaN at nodes outside the
-domain) plus optional Dirichlet data for the boundary cut points of its
-domain.  Fields carry a parity in r, +1 (even) or -1 (odd), which is what
-the axial symmetry of the problem dictates.  Interpolation reads the
-lattice padded with one mirror layer at r = -h/2, the first layer times
-the parity sign, so a point below the first node layer needs no special
-case.
+A ScalarField stores one value per inside node of its domain's grid, in
+the rows of the geometry's `NeighbourTable` (the inside nodes in C order,
+the layout of a solve's unknowns), plus optional Dirichlet data for the
+boundary cut points of its domain.  `values` is a view built on each
+read: the lattice with NaN at the nodes outside.  Fields carry a parity
+in r, +1 (even) or -1 (odd), which is what the axial symmetry of the
+problem dictates.  Interpolation reads the lattice padded with one
+mirror layer at r = -h/2, the first layer times the parity sign, so a
+point below the first node layer needs no special case.
 """
 
 from __future__ import annotations
@@ -32,21 +34,24 @@ def on_points(data, points):
 
 @dataclass
 class ScalarField:
+    """A field on the inside nodes of `grid` in `domain`: `active` holds one
+    value per `NeighbourTable` row, and `values` scatters it onto the
+    lattice with NaN outside."""
+
     grid: object
     domain: object
-    values: np.ndarray
+    active: np.ndarray
     boundary_values: BoundaryData = None
     parity: str = "even"
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
+        self.active = np.asarray(self.active, dtype=float)
+        count = np.count_nonzero(self.geometry.inside)
+        if self.active.shape != (count,):
+            raise ValueError(f"active holds {self.active.size} values but the "
+                             f"domain has {count} inside nodes")
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-
-    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_function(cls, domain, grid, fn, boundary_values=None, parity="even"):
@@ -55,47 +60,44 @@ class ScalarField:
         When boundary_values is omitted, fn itself supplies the Dirichlet
         data at boundary cut points (the natural choice for injected
         analytic fields)."""
-        geo = grid_geometry(domain, grid)
-        vals = np.full(grid.shape, np.nan)
-        vals[geo.inside] = np.asarray(fn(grid.points_at(geo.inside)), dtype=float)
+        active = fn(grid.points_at(grid_geometry(domain, grid).inside))
         if boundary_values is None:
             boundary_values = fn
-        return cls(grid=grid, domain=domain, values=vals,
+        return cls(grid=grid, domain=domain, active=active,
                    boundary_values=boundary_values, parity=parity)
-
-    @classmethod
-    def from_active_vector(cls, grid, domain, vec, boundary_values=None, parity="even"):
-        geo = grid_geometry(domain, grid)
-        vals = np.full(grid.shape, np.nan)
-        vals[geo.inside] = np.asarray(vec, dtype=float)
-        return cls(grid=grid, domain=domain, values=vals,
-                   boundary_values=boundary_values, parity=parity)
-
-    # -- basic access -----------------------------------------------------------
 
     @property
     def geometry(self):
         return grid_geometry(self.domain, self.grid)
 
-    def active_values(self):
-        return self.values[self.geometry.inside]
+    @property
+    def values(self):
+        """The read-only lattice of `active`, NaN outside the domain, built
+        on each read."""
+        lattice = np.full(self.grid.shape, np.nan)
+        lattice[self.geometry.inside] = self.active
+        lattice.flags.writeable = False
+        return lattice
 
     # -- interpolation -----------------------------------------------------------
 
     def interpolate(self, points):
         """Multilinear interpolation at arbitrary points.
 
-        The lattice is read with one extra layer at r = -h/2 that holds the
-        first layer times the parity sign (the even/odd reflection across
-        r = 0), so every corner of a point's cell is a lattice node and each
-        of the 2^(k+1) corners is one gather at a fixed flat offset.  The
-        cell is found at |r|; odd fields flip sign where r < 0.  Returns NaN
+        `active` is scattered onto the lattice (NaN outside) with one extra
+        layer at r = -h/2 that holds the first layer times the parity sign
+        (the even/odd reflection across r = 0), so every corner of a point's
+        cell is a lattice node and each of the 2^(k+1) corners is one gather
+        at a fixed flat offset.  The pad is built on each call.  The cell is
+        found at |r|; odd fields flip sign where r < 0.  Returns NaN
         where the interpolation cell is not fully covered by grid values
         (callers decide whether that is an error)."""
         grid = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         sign = -1.0 if self.parity == "odd" else 1.0
-        padded = np.concatenate((sign * self.values[:1], self.values))
+        padded = np.full((grid.n_r + 1, *grid.n_y), np.nan)
+        padded[1:][self.geometry.inside] = self.active
+        padded[0] = sign * padded[1]
 
         scaled = [np.abs(pts[:, 0]) / grid.h_r - 0.5]
         scaled += [(pts[:, 1 + m] - y0) / grid.h_y for m, y0 in enumerate(grid.y_start)]

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .differential import gradient_fields
 from .errors import ParityViolation
 from .field import ScalarField
@@ -155,11 +153,8 @@ def cd_defect_values(u: PolyField, weights, points):
 
 def _grid_gamma(u: ScalarField, grads) -> ScalarField:
     """Gamma(u) from the gradient fields `grads` of u."""
-    vals = np.zeros(u.grid.shape)
-    for g in grads:
-        vals = vals + g.values**2
-    return ScalarField(grid=u.grid, domain=u.domain, values=vals,
-                       boundary_values=None, parity="even")
+    return ScalarField(grid=u.grid, domain=u.domain,
+                       active=sum(g.active**2 for g in grads))
 
 
 def gamma(u):
@@ -181,6 +176,5 @@ def p_function(u: ScalarField, params: WeinsteinParams) -> ScalarField:
 
 def _p_from_gamma(u, g, params):
     """P from u and its Gamma field g."""
-    vals = g.values + 2.0 * u.values / params.dim_eff
-    return ScalarField(grid=u.grid, domain=u.domain, values=vals,
-                       boundary_values=None, parity="even")
+    return ScalarField(grid=u.grid, domain=u.domain,
+                       active=g.active + 2.0 * u.active / params.dim_eff)

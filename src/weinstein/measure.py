@@ -99,14 +99,13 @@ def weighted_volume_integral(field, params, domain=None, grid=None):
 
     covered = geo.volfrac > 0.0
     if isinstance(field, ScalarField):
-        vals = field.values.copy()
+        lattice = field.values
+        vals = np.where(covered, lattice, 0.0)
         ext = covered & ~geo.inside
         if ext.any():
             donor = geo.donor_flat[ext]
-            flat = field.values.reshape(-1)
-            fill = np.where(donor >= 0, flat[np.maximum(donor, 0)], 0.0)
-            vals[ext] = fill
-        vals = np.where(covered, vals, 0.0)
+            flat = lattice.reshape(-1)
+            vals[ext] = np.where(donor >= 0, flat[np.maximum(donor, 0)], 0.0)
     elif callable(field):
         vals = np.zeros(grid.shape)
         vals[covered] = np.asarray(field(grid.points_at(covered)), dtype=float)

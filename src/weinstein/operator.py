@@ -220,9 +220,8 @@ class SparseSystem:
         return dataclasses.replace(self, b=b, dirichlet=dirichlet)
 
     def field_from_vector(self, vec):
-        return ScalarField.from_active_vector(
-            self.grid, self.domain, vec, boundary_values=self.dirichlet
-        )
+        return ScalarField(grid=self.grid, domain=self.domain, active=vec,
+                           boundary_values=self.dirichlet)
 
 
 def _build(domain, grid, params) -> SparseSystem:
@@ -301,18 +300,17 @@ def apply_operator(field, params, rows_mask=None):
 
     Rows next to the boundary need the field's Dirichlet data; restrict with
     rows_mask (boolean, grid shape) to evaluate only away from the boundary
-    (for example for fields that carry no boundary values)."""
+    (for example for fields that carry no boundary values); the rows off
+    the mask hold NaN."""
     system = assemble_torsion_system(field.domain, field.grid, params)
-    inside = field.geometry.inside
-    out = system.A @ field.values[inside]
-    if system.bc_rows.size and (rows_mask is None or rows_mask[inside][system.bc_rows].any()):
+    out = system.A @ field.active
+    rows = None if rows_mask is None else rows_mask[field.geometry.inside]
+    if system.bc_rows.size and (rows is None or rows[system.bc_rows].any()):
         out = out + system.bc_vector(field.boundary_values)  # raises without Dirichlet data
-    vals = np.full(field.grid.shape, np.nan)
-    vals[inside] = out
-    if rows_mask is not None:
-        vals = np.where(rows_mask, vals, np.nan)
-    return ScalarField(grid=field.grid, domain=field.domain, values=vals,
-                       boundary_values=None, parity=field.parity)
+    if rows is not None:
+        out[~rows] = np.nan
+    return ScalarField(grid=field.grid, domain=field.domain, active=out,
+                       parity=field.parity)
 
 
 def boundary_normal_gradient(field, samples=None, count=20000, depth=None):
@@ -369,11 +367,9 @@ def normal_derivative_at_axis(field):
     grid = field.grid
     if grid.n_r < 3:
         raise GridTooCoarse("need at least three r-layers for the axis probe")
-    geo = grid_geometry(field.domain, field.grid)
-    ok = geo.inside[0] & geo.inside[1] & geo.inside[2]
-    u0 = field.values[0][ok]
-    u1 = field.values[1][ok]
-    u2 = field.values[2][ok]
+    inside = field.geometry.inside
+    ok = inside[0] & inside[1] & inside[2]
+    u0, u1, u2 = (layer[ok] for layer in field.values[:3])
     vals = (-2.0 * u0 + 3.0 * u1 - u2) / grid.h_r
     cols = np.argwhere(ok)
     y_pts = np.stack(
@@ -407,10 +403,10 @@ def field_to_csv(field, path):
     gathers its class's text.  A mirror maps y axes only, so a class lies
     in one r layer, and the rows are written in blocks of whole r layers,
     at least `CSV_BLOCK_ROWS` rows or one layer if that is larger.  The
-    rows come in C order of the lattice, the order of `values[inside]`."""
+    rows come in C order of the lattice, the order of `field.active`."""
     grid = field.grid
-    geo = grid_geometry(field.domain, field.grid)
-    values = field.values[geo.inside]
+    geo = field.geometry
+    values = field.active
     rep = _mirror_classes(values, geo.neighbours)
     # rows run r slowest: the rows of r layers 0..i end at ends[i]
     ends = np.cumsum(np.count_nonzero(geo.inside.reshape(grid.n_r, -1), axis=1))
@@ -482,7 +478,6 @@ def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
         first = [float(axis[i]) for axis, i in
                  zip(grid.axes(), np.unravel_index(missing[0], grid.shape))]
         raise ValueError(f"{missing.size} inside nodes have no row, first at {first}")
-    vals = np.full(grid.shape, np.nan)
-    vals.reshape(-1)[flat] = rows[:, -1]
-    return ScalarField(grid=grid, domain=domain, values=vals,
+    # the rows name every inside node once, so in node order they are the table's
+    return ScalarField(grid=grid, domain=domain, active=rows[np.argsort(flat), -1],
                        boundary_values=boundary_values, parity=parity)

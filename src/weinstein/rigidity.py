@@ -95,11 +95,13 @@ def flux_identity_residual(domain, params: WeinsteinParams, grid,
     (a+1+k) r^a; its flux through the axis wall vanishes because <Z, nu>
     is -r there, so only the outer boundary contributes.
     """
-    return _flux_pair(domain, params, grid, *_weighted_samples(domain, params, count))
+    volume = weighted_volume_integral(1.0, params, domain=domain, grid=grid)
+    return _flux_pair(domain, params, volume, *_weighted_samples(domain, params, count))
 
 
-def _flux_pair(domain, params, grid, s, w):
-    lhs = params.dim_eff * weighted_volume_integral(1.0, params, domain=domain, grid=grid)
+def _flux_pair(domain, params, volume, s, w):
+    """Flux sides from the weighted volume, the samples s and their weights w."""
+    lhs = params.dim_eff * volume
     z = domain.offset(s.points)
     rhs = float(np.sum(w * np.sum(z * s.normals, axis=-1)))
     return IdentityPair(lhs, rhs)
@@ -167,13 +169,14 @@ def p_integral_residual(u: ScalarField, params: WeinsteinParams,
     exactly in the rigid (ball) case."""
     if c is None:
         c = boundary_gradient_stats(u, params, count).mean
-    return _p_integral_pair(u, params, p_function(u, params), c)
+    volume = weighted_volume_integral(1.0, params, domain=u.domain, grid=u.grid)
+    return _p_integral_pair(params, p_function(u, params), c, volume)
 
 
-def _p_integral_pair(u, params, P, c):
-    """P-integral sides from u, its P-function P and the gradient scale c."""
-    rhs = c * c * weighted_volume_integral(1.0, params, domain=u.domain, grid=u.grid)
-    return IdentityPair(weighted_volume_integral(P, params), rhs)
+def _p_integral_pair(params, P, c, volume):
+    """P-integral sides from the P-function P, the gradient scale c and the
+    weighted volume."""
+    return IdentityPair(weighted_volume_integral(P, params), c * c * volume)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +205,7 @@ def maximum_principle_check(u: ScalarField, params: WeinsteinParams,
     Superharmonic fields (L_a u <= 0) have nonincreasing weighted means
     M(t) about any interior center; the torsion solution is strictly
     superharmonic, so its ladder must strictly decrease."""
-    geo = u.geometry
-    vals = u.values[geo.inside]
-    min_int = float(np.min(vals)) if vals.size else math.nan
+    min_int = float(np.min(u.active))
 
     center = (0.0, *u.domain.y_center)
     dist = -float(u.domain.signed_distance(np.asarray(center)))
@@ -379,13 +380,13 @@ def _manufactured_errors(v, v_h):
     quartic v (`_manufactured_quartic`)."""
     geo = v_h.geometry
     q = v_h.domain.offset(v_h.grid.points_at(geo.inside))  # the errors read no other node
-    err = float(np.max(np.abs(v_h.values[geo.inside] - v.eval_float(q))))
+    err = float(np.max(np.abs(v_h.active - v.eval_float(q))))
 
-    mask = deep_mask(geo)  # a subset of geo.inside
-    q = q[mask[geo.inside]]  # the deep nodes', before the gradients are built
+    deep = deep_mask(geo)[geo.inside]
+    q = q[deep]  # the deep nodes', before the gradients are built
     gerr = 0.0
     for axis, g in enumerate(gradient_fields(v_h)):
-        gerr = max(gerr, float(np.max(np.abs(g.values[mask] - v.diff(axis).eval_float(q)))))
+        gerr = max(gerr, float(np.max(np.abs(g.active[deep] - v.diff(axis).eval_float(q)))))
     return err, gerr
 
 
@@ -455,7 +456,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     exact = domain.exact_torsion(params)
     results: list = []
     extras: dict = {}
-    finite = bool(np.all(np.isfinite(u.active_values())))
+    finite = bool(np.all(np.isfinite(u.active)))
     if not finite:  # an overflowed solve: no check can say anything about it
         results = [CheckResult(name, math.nan, None, None,
                                "skipped: solver did not converge") for name in names]
@@ -506,6 +507,9 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     # u_r on the axis, read by axis_regularity and, at a = 0, by the axis flux
     axis_dr = functools.cache(lambda: normal_derivative_at_axis(u)[1])
     energy = functools.cache(lambda: _energy_pair(u, params, g()))
+    # the weighted volume, read by flux_identity and p_integral
+    volume = functools.cache(
+        lambda: weighted_volume_integral(1.0, params, domain=domain, grid=grid))
     stats = None
     if sampled:
         un = _normal_gradient(u, grads, samples=s)
@@ -520,9 +524,8 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
                 results.append(CheckResult(name, math.nan, None, None,
                                            "defined for balls only"))
                 continue
-            geo = u.geometry
-            u_exact = exact[0](grid.points_at(geo.inside))
-            value = float(np.max(np.abs(u.values[geo.inside] - u_exact)))
+            u_exact = exact[0](grid.points_at(u.geometry.inside))
+            value = float(np.max(np.abs(u.active - u_exact)))
             judge(name, value, 5e-3)
         elif name == "boundary_gradient_mean":
             if exact is None:
@@ -539,14 +542,14 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             extras["weighted_mass"] = pair.rhs
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "flux_identity":
-            pair = _flux_pair(domain, params, grid, s, w)
+            pair = _flux_pair(domain, params, volume(), s, w)
             extras["weighted_volume"] = pair.lhs / params.dim_eff
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "pohozaev":
             pair = _pohozaev_pair(u, params, s, w, un, energy())
             judge(name, pair.residual, max(2e-3, 20.0 * h * h))
         elif name == "p_integral":
-            pair = _p_integral_pair(u, params, P(), stats.mean)
+            pair = _p_integral_pair(params, P(), stats.mean, volume())
             extras["p_integral_lhs"] = pair.lhs
             extras["p_integral_rhs"] = pair.rhs
             judge(name, pair.residual, 1e-3 * max(1.0, (64.0 * h) ** 2))
@@ -554,17 +557,17 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             if mms_gerr is None:
                 skipped(name, "tolerance calibration solve failed")
                 continue
-            mask = deep_mask(u.geometry)
+            deep = deep_mask(u.geometry)[u.geometry.inside]
             c = stats.mean
-            value = float(np.max(np.abs(P().values[mask] - c * c)))
-            gmax = float(np.sqrt(np.nanmax(np.maximum(g().values[mask], 0.0))))
+            value = float(np.max(np.abs(P().active[deep] - c * c)))
+            gmax = float(np.sqrt(np.nanmax(np.maximum(g().active[deep], 0.0))))
             # tolerance calibrated from the same-grid manufactured solve:
             # P inherits 2|grad u| x (gradient error) + 2/(N) x (value error)
             tol = 10.0 * (2.0 * gmax * mms_gerr + 2.0 * mms_err / params.dim_eff)
             tol = max(tol, 1e-8)
             judge(name, value, tol)
         elif name == "positivity":
-            value = float(np.min(u.active_values()))
+            value = float(np.min(u.active))
             results.append(CheckResult(name, value, 0.0, bool(value > 0.0),
                                        "min interior value; must be positive"))
         elif name == "mean_monotonicity":

@@ -88,7 +88,7 @@ def _max_error_vs_profile(u, a, k):
     pts = u.grid.node_points()[u.geometry.inside]
     rho2 = np.sum(pts**2, axis=-1)
     exact = (1.0 - rho2) / (2.0 * (a + 1 + k))
-    return float(np.max(np.abs(u.active_values() - exact)))
+    return float(np.max(np.abs(u.active - exact)))
 
 
 def _orders(vals):
@@ -405,7 +405,7 @@ def test_criterion_10_maximum_principle_positivity():
     fields.append(("ellipsoid 1:2", _ellipsoid(64)[0]))
     fields.append(("ellipsoid shifted", _ellipsoid(32, shift=0.5)[0]))
     fields.append(("box", _box(32)[0]))
-    mins = {name: float(np.min(u.active_values())) for name, u in fields}
+    mins = {name: float(np.min(u.active)) for name, u in fields}
     ok = all(v > 0.0 for v in mins.values())
     worst = min(mins, key=mins.get)
     _verdict(10, "interior positivity on all tested shapes", ok,

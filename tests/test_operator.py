@@ -67,7 +67,7 @@ def test_ball_torsion_solution_is_nodal_exact(a):
     assert report.converged
     pts = u.grid.node_points()[u.geometry.inside]
     exact = (1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2) / (2.0 * params.dim_eff)
-    err = np.max(np.abs(u.active_values() - exact))
+    err = np.max(np.abs(u.active - exact))
     assert err <= 1e-9
 
 
@@ -82,7 +82,7 @@ def test_shifted_ellipsoid_torsion_solution_is_nodal_exact():
     assert report.converged
     pts = u.grid.node_points()[u.geometry.inside]
     exact = C * (1.0 - pts[:, 0] ** 2 / A**2 - (pts[:, 1] - c) ** 2 / B**2)
-    assert np.max(np.abs(u.active_values() - exact)) <= 1e-9
+    assert np.max(np.abs(u.active - exact)) <= 1e-9
 
 
 def test_apply_operator_on_exact_quadratic_gives_minus_one_everywhere():
@@ -93,7 +93,7 @@ def test_apply_operator_on_exact_quadratic_gives_minus_one_everywhere():
     fn = lambda p: (1.0 - np.sum(p**2, axis=-1)) / (2.0 * N)
     u = ScalarField.from_function(dom, grid, fn)
     Lu = apply_operator(u, params)
-    vals = Lu.active_values()
+    vals = Lu.active
     assert np.max(np.abs(vals + 1.0)) <= 1e-9
 
 
@@ -103,7 +103,7 @@ def test_apply_operator_on_constant_is_zero():
     grid = StaggeredGrid.from_domain(dom, 1.0 / 16)
     u = ScalarField.from_function(dom, grid, lambda p: np.full(p.shape[:-1], 3.0))
     Lu = apply_operator(u, params)
-    assert np.max(np.abs(Lu.active_values())) <= 1e-10
+    assert np.max(np.abs(Lu.active)) <= 1e-10
 
 
 def test_apply_operator_rows_mask_skips_boundary_data():
@@ -112,7 +112,7 @@ def test_apply_operator_rows_mask_skips_boundary_data():
     grid = StaggeredGrid.from_domain(dom, 1.0 / 16)
     geo = grid_geometry(dom, grid)
     vec = np.linspace(0.0, 1.0, int(np.count_nonzero(geo.inside)))
-    u = ScalarField.from_active_vector(grid, dom, vec)  # no Dirichlet data
+    u = ScalarField(grid=grid, domain=dom, active=vec)  # no Dirichlet data
     with pytest.raises(MissingBoundaryData):
         apply_operator(u, params)
     pts = grid.node_points()
@@ -144,7 +144,7 @@ def _quartic_errors(hs):
         )
         u, _ = solve(system, tol=1e-12)
         pts = grid.node_points()[u.geometry.inside]
-        errs.append(np.max(np.abs(u.active_values() - v.eval_float(pts))))
+        errs.append(np.max(np.abs(u.active - v.eval_float(pts))))
     return errs
 
 
@@ -251,9 +251,10 @@ def test_half_grid_matches_full_plane_oracle_at_a_zero():
 
     half = u_full[len(r_full) // 2 :, :]  # rows r = (i + 1/2) h
     mismatch = 0.0
+    values = u.values
     for col, i in enumerate(i_in):
         for row, j in enumerate(j_in):
-            mismatch = max(mismatch, abs(u.values[i, j] - half[col, row]))
+            mismatch = max(mismatch, abs(values[i, j] - half[col, row]))
     assert mismatch <= 1e-8
 
 
@@ -278,9 +279,7 @@ def test_boundary_gradient_rejects_corners_and_missing_data():
     with pytest.raises(UnsupportedShape):
         boundary_normal_gradient(u)
     ball_u, _ = _torsion(Ball(1.0), params, 1.0 / 16)
-    bare = ScalarField.from_active_vector(
-        ball_u.grid, ball_u.domain, ball_u.active_values()
-    )
+    bare = ScalarField(grid=ball_u.grid, domain=ball_u.domain, active=ball_u.active)
     with pytest.raises(MissingBoundaryData):
         boundary_normal_gradient(bare)
     with pytest.raises(StencilLeavesDomain):
@@ -317,6 +316,21 @@ def test_field_csv_round_trip_is_exact(tmp_path):
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "r,y1,u"
+
+
+def test_a_field_read_from_csv_has_nan_exactly_off_the_inside_nodes(tmp_path):
+    # the lattice view of a reloaded field, as a reader of the lattice sees it
+    params = WeinsteinParams(a=1.0, k=2)
+    u, _ = _torsion(Ball(1.0, center=(0.0, 0.1)), params, 1.0 / 12)
+    path = tmp_path / "u.csv"
+    field_to_csv(u, path)
+    back = field_from_csv(path, u.grid, u.domain, boundary_values=0.0)
+    inside = back.geometry.inside
+    values = back.values
+    assert values.shape == u.grid.shape
+    assert np.array_equal(np.isnan(values), ~inside)
+    column = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
+    assert values[inside].tobytes() == back.active.tobytes() == column.tobytes()
 
 
 def test_field_csv_rejects_alien_grid(tmp_path):
@@ -498,9 +512,18 @@ def test_assembled_matrices_are_freed_with_their_systems():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_axis_probe_needs_three_r_layers():
+def test_a_field_holds_one_value_per_inside_node():
     dom = Ball(1.0)
-    grid = StaggeredGrid(h_r=0.5, h_y=0.5, n_r=2, n_y=(8,), y_start=(-1.75,))
-    u = ScalarField(grid=grid, domain=dom, values=np.zeros(grid.shape))
+    grid = StaggeredGrid.from_domain(dom, 1.0 / 16)
+    count = int(np.count_nonzero(grid_geometry(dom, grid).inside))
+    with pytest.raises(ValueError, match=f"{count + 1} values.* {count} inside nodes"):
+        ScalarField(grid=grid, domain=dom, active=np.zeros(count + 1))
+
+
+def test_axis_probe_needs_three_r_layers():
+    dom = Ellipsoid((0.375, 2.0))
+    grid = StaggeredGrid.from_domain(dom, 0.5)
+    assert grid.n_r == 2
+    u = ScalarField.from_function(dom, grid, lambda pts: np.zeros(pts.shape[:-1]))
     with pytest.raises(GridTooCoarse):
         normal_derivative_at_axis(u)

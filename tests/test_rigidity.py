@@ -233,6 +233,23 @@ def test_full_battery_probes_the_boundary_once(monkeypatch):
     assert calls == {"boundary_samples": 1, "_normal_gradient": 1}
 
 
+def test_full_battery_integrates_the_weighted_volume_once(monkeypatch):
+    # flux_identity and p_integral share one quadrature of the constant 1
+    constants = []
+    inner = rigidity_module.weighted_volume_integral
+
+    def counted(field, *args, **kwargs):
+        if not isinstance(field, ScalarField):
+            constants.append(field)
+        return inner(field, *args, **kwargs)
+
+    monkeypatch.setattr(rigidity_module, "weighted_volume_integral", counted)
+    report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), PARAMS, h=1.0 / 16)
+    status = {c.name: c.status for c in report.checks}
+    assert status["flux_identity"] != "skip" and status["p_integral"] != "skip"
+    assert constants == [1.0]
+
+
 def test_the_axis_probe_is_read_once_at_a_zero(monkeypatch):
     # at a = 0, axis_regularity and the axis flux share one u_r on the axis
     probes = []
@@ -307,7 +324,7 @@ def test_run_experiment_check_subset_and_unknown_name():
     assert report.passed
     # positivity reports the smallest value of the field on the inside nodes
     ladder = maximum_principle_check(report.u, PARAMS)
-    assert report.checks[0].value == ladder.min_interior == np.min(report.u.active_values())
+    assert report.checks[0].value == ladder.min_interior == np.min(report.u.active)
     with pytest.raises(ConfigError):
         run_experiment(Ball(1.0), PARAMS, h=1.0 / 16, checks=["no_such_check"])
 

@@ -78,7 +78,7 @@ def test_symmetric_diagonal_system_solves_by_bicgstab():
     assert report.method == "bicgstab"
     assert report.iterations <= 2  # Jacobi and the V-cycle solve -I exactly
     assert report.converged
-    assert np.allclose(u.active_values(), -system.b, atol=1e-14)
+    assert np.allclose(u.active, -system.b, atol=1e-14)
 
 
 def test_cut_rows_break_symmetry_and_route_to_bicgstab():
@@ -99,7 +99,7 @@ def test_grid_aligned_box_solves_by_bicgstab(a):
     u, report = solve(system)
     assert report.method == "bicgstab"
     assert report.converged
-    x = u.active_values()
+    x = u.active
     res = float(np.linalg.norm(system.A @ x - system.b) / np.linalg.norm(system.b))
     assert res <= 10.0 * 1e-10
     direct = spla.spsolve(_csr(system.A).tocsc(), system.b)
@@ -113,19 +113,19 @@ def test_zero_rhs_short_circuits():
     assert report.method == "none"
     assert report.iterations == 0
     assert report.converged
-    assert np.all(u.active_values() == 0.0)
+    assert np.all(u.active == 0.0)
 
 
 def test_repeated_solves_are_bit_identical():
-    a = solve(_ball_system())[0].active_values()
-    b = solve(_ball_system())[0].active_values()
+    a = solve(_ball_system())[0].active
+    b = solve(_ball_system())[0].active
     assert np.array_equal(a, b)
 
 
 def test_certified_residual_matches_manual_recomputation():
     system = _ball_system()
     u, report = solve(system)
-    x = u.active_values()
+    x = u.active
     res = float(np.linalg.norm(system.A @ x - system.b) / np.linalg.norm(system.b))
     assert report.final_relative_residual == pytest.approx(res, rel=1e-12, abs=0.0)
     assert res <= 10.0 * 1e-10
@@ -200,7 +200,7 @@ def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
         assert folded.shape[0] * 2 ** system.grid.k == system.n
         want, iterations = _scipy_reference(folded, system.b[folded.table.rows])
         u, report = solve(system)
-        assert u.active_values().tobytes() == want[folded.table.unfold].tobytes()
+        assert u.active.tobytes() == want[folded.table.unfold].tobytes()
         assert report.iterations == iterations
 
 
@@ -212,7 +212,7 @@ def test_vcycle_loop_reproduces_scipy_bit_for_bit(domain, h):
     assert folded.shape[0] * 2 == system.n
     want, iterations = _scipy_reference(folded, system.b[folded.table.rows], precond)
     u, report = solve(system)
-    got = u.active_values()
+    got = u.active
     want = want[folded.table.unfold]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert report.iterations == iterations
@@ -319,7 +319,7 @@ def test_folded_and_full_solves_agree(domain, h):
     folded, _ = solver_module._preconditioned(system, 1e-10)
     assert folded.shape[0] * 2 ** domain.k == system.n
     u, report = solve(system)
-    x = u.active_values()
+    x = u.active
     want = _full_solve(system, 1e-12)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
     assert report.n_unknowns == system.n
@@ -339,7 +339,7 @@ def test_a_folded_solve_is_even_bit_for_bit_across_each_mirror_axis(k, h):
     table = system.A.table
     assert table.mirror_axes == tuple(range(1, k + 1))
     u, _ = solve(system)
-    bits = u.active_values().view(np.int64)
+    bits = u.active.view(np.int64)
     for axis in table.mirror_axes:
         assert np.array_equal(bits, bits[table.mirror(axis)])
 
@@ -374,12 +374,12 @@ def test_data_that_are_not_even_are_solved_unfolded(k):
     u, _ = solve(system)
     if k == 1:  # y1 is the only mirror axis: nothing folds
         assert system.A.fold(()) is system.A
-        assert u.active_values().tobytes() == _full_solve(system, 1e-10).tobytes()
+        assert u.active.tobytes() == _full_solve(system, 1e-10).tobytes()
     else:  # folded over y2 alone
         folded, _ = solver_module._preconditioned(system, 1e-10)
         assert folded.shape[0] * 2 == system.n
         want = _full_solve(system, 1e-12)
-        assert np.max(np.abs(u.active_values() - want)) <= 1e-9 * np.max(np.abs(want))
+        assert np.max(np.abs(u.active - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_a_hand_built_matrix_that_is_not_even_is_solved_unfolded():
@@ -390,7 +390,7 @@ def test_a_hand_built_matrix_that_is_not_even_is_solved_unfolded():
     system = _slot_system(sys0, {mid: -(1.0 + y1 ** 2 + y1)}, np.full(sys0.n, -1.0))
     assert system.A.even_axes(system.b, 1e-10) == ()
     u, _ = solve(system, tol=1e-12)
-    assert u.active_values().tobytes() == _full_solve(system, 1e-12).tobytes()
+    assert u.active.tobytes() == _full_solve(system, 1e-12).tobytes()
     # without the odd term it is even, and folds
     even = _slot_system(sys0, {mid: -(1.0 + y1 ** 2)}, system.b)
     assert even.A.even_axes(even.b, 1e-10) == (1,)
