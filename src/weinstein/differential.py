@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MissingBoundaryData
 from .field import ScalarField, on_points
-from .geometry import R_AXIS, shift, three_point_weights
+from .geometry import R_AXIS, three_point_weights
 
 
 def axis_derivative(field, axis):
@@ -61,10 +61,8 @@ def gradient_fields(field):
 
 
 def deep_mask(geo):
-    """Nodes of a GridGeometry whose full 3^d neighborhood (r-mirror
-    allowed) is inside."""
-    mask = geo.inside
-    for axis in range(mask.ndim):
-        for direction in (1, -1):
-            mask = mask & shift(mask, axis, direction, False)
+    """Lattice view of the table's `deep` rows (nodes whose full 3^d
+    neighborhood is inside, r-mirror allowed); the package reads the rows."""
+    mask = np.zeros(geo.grid.shape, dtype=bool)
+    mask[geo.inside] = geo.neighbours.deep
     return mask

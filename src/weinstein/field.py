@@ -3,12 +3,12 @@
 A ScalarField stores one value per inside node of its domain's grid, in
 the rows of the geometry's `NeighbourTable` (the inside nodes in C order,
 the layout of a solve's unknowns), plus optional Dirichlet data for the
-boundary cut points of its domain.  `values` is a view built on each
-read: the lattice with NaN at the nodes outside.  Fields carry a parity
-in r, +1 (even) or -1 (odd), which is what the axial symmetry of the
-problem dictates.  Interpolation reads the lattice padded with one
-mirror layer at r = -h/2, the first layer times the parity sign, so a
-point below the first node layer needs no special case.
+boundary cut points of its domain.  `values` (the lattice, NaN outside,
+built on each read) is for the benchmark and tests.  Fields carry a
+parity in r, +1 (even) or -1 (odd), which is what the axial symmetry
+of the problem dictates.  Interpolation reads the lattice padded with
+one mirror layer at r = -h/2, the first layer times the parity sign,
+so a point below the first node layer needs no special case.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class ScalarField:
     @property
     def values(self):
         """The read-only lattice of `active`, NaN outside the domain, built
-        on each read."""
+        on each read (the package reads `active`)."""
         lattice = np.full(self.grid.shape, np.nan)
         lattice[self.geometry.inside] = self.active
         lattice.flags.writeable = False

@@ -25,24 +25,6 @@ ARM_FLOOR = 1e-6  # shortest cut arm, as a fraction of the step
 MARGIN_CELLS = 2  # lattice cells of slack beyond the domain on each side
 
 
-def shift(array, axis, direction, fill):
-    """Values of the neighbor one step along (axis, direction).
-
-    Nodes whose neighbor is off the lattice get `fill`, except below the
-    first r-layer, where the mirror node across r = 0 supplies the value."""
-    out = np.full_like(array, fill)
-    src = [slice(None)] * array.ndim
-    dst = list(src)
-    if direction == 1:
-        src[axis], dst[axis] = slice(1, None), slice(0, -1)
-    else:
-        src[axis], dst[axis] = slice(0, -1), slice(1, None)
-    out[tuple(dst)] = array[tuple(src)]
-    if axis == R_AXIS and direction == -1:  # the r axis leads, so row 0 is r = h/2
-        out[0] = array[0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
@@ -400,11 +382,15 @@ class StaggeredGrid:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def points_of(self, flat):
+        """Coordinates (n, k+1) of the nodes at C-order flat indices, gathered
+        from the axes without the full-lattice meshgrid of node_points()."""
+        index = np.unravel_index(flat, self.shape)
+        return np.stack([axis[i] for axis, i in zip(self.axes(), index)], axis=-1)
+
     def points_at(self, mask):
-        """Coordinates of the nodes where `mask` holds, shape (n, k+1) in C
-        order: the floats of node_points()[mask], gathered from the axes
-        without the full-lattice meshgrid."""
-        return np.stack([axis[i] for axis, i in zip(self.axes(), np.nonzero(mask))], axis=-1)
+        """Coordinates of the nodes where `mask` holds, in C order."""
+        return self.points_of(np.flatnonzero(mask))
 
     def step(self, axis):
         """Lattice spacing along `axis`."""
@@ -449,10 +435,10 @@ class NeighbourTable:
     holds each slot's neighbour, the row itself where the slot has none:
     the columns of `operator.SlotMatrix` and of the derivatives' gathers.
     Along the last (fastest) lattice axis a neighbour is the next or
-    previous row.  `near` are the rows with a
-    cut arm and `ghost` the near rows whose (r,-) arm folds.  The table is
-    the one place a cut arm is found and measured: a near row's arm with no
-    neighbour that does not fold is cut at the fraction theta of the step
+    previous row.  `row_r` (int32) is each row's r layer.  `near` are the
+    rows with a cut arm (no neighbour, and no fold across r = 0), `ghost`
+    the near rows whose (r,-) arm folds.  The table is the one place a cut
+    arm is found and measured: it is cut at the fraction theta of the step
     given by `domain.axis_cut`, clipped to [0, 1], and is max(theta,
     ARM_FLOOR) steps long.  `weights` per axis are the three_point_weights
     of the near rows' arms.  The cut arms, in the order bc_vector sums them
@@ -481,25 +467,25 @@ class NeighbourTable:
         row_of = np.full(grid.n_nodes, -1, dtype=np.int32)
         row_of[flat] = np.arange(flat.size)
         strides = np.array([int(np.prod(grid.shape[axis + 1:])) for axis in range(dim)])
-        self.row_r = flat // strides[R_AXIS]
+        self.row_r = (flat // strides[R_AXIS]).astype(np.int32)
         # the first r layer's (r,-) index wraps round to the last layer,
         # where GridGeometry allows no inside node, so that slot is empty
         neighbour = row_of[flat[:, None] + np.concatenate([-strides, [0], strides[::-1]])]
         own = np.arange(flat.size, dtype=np.int32)
         self.columns = np.where(neighbour >= 0, neighbour, own[:, None]).T.copy()
 
-        self.near = np.flatnonzero(geo.near.reshape(-1)[flat])
-        self.ghost = self.row_r[self.near] == 0  # the mirror across r = 0 is inside
-        near_points = grid.points_at(geo.near)
+        cut_arm = neighbour < 0
+        cut_arm[:, 0] &= self.row_r > 0  # the mirror across r = 0 is inside
+        self.near = np.flatnonzero(cut_arm.any(axis=1))
+        self.ghost = self.row_r[self.near] == 0
+        near_points = grid.points_of(flat[self.near])
         self.weights, bc_rows, bc_slots, bc_points, keys = [], [], [], [], []
         for axis in range(dim):
             h = grid.step(axis)
             arms = {}
             for direction in _DIRS:
                 slot = dim + direction * (dim - axis)
-                cut = neighbour[self.near, slot] < 0
-                if axis == R_AXIS and direction == -1:
-                    cut &= ~self.ghost
+                cut = cut_arm[self.near, slot]
                 points = near_points[cut]
                 theta = np.clip(geo.domain.axis_cut(points, axis, direction, h), 0.0, 1.0)
                 points[:, axis] += theta * (direction * h)
@@ -516,6 +502,21 @@ class NeighbourTable:
             np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
         for array in (self.columns, self.bc_rows, self.bc_points):
             array.flags.writeable = False
+
+    @functools.cached_property
+    def deep(self):
+        """Read-only bool per row, built on first read: the whole 3^dim
+        neighbourhood is inside (r mirror allowed); eroded slot by slot, (r,+), (r,-) .."""
+        own = np.arange(self.row_r.size, dtype=np.int32)
+        deep = np.ones(own.size, dtype=bool)
+        for axis in range(len(self.weights)):
+            for slot in (self.columns.shape[0] - 1 - axis, axis):
+                present = self.columns[slot] != own
+                if slot == 0:  # the first r layer's (r,-) mirror
+                    present |= self.row_r == 0
+                deep = deep & present & deep[self.columns[slot]]
+        deep.flags.writeable = False
+        return deep
 
     def mirror(self, axis):
         """int32 row of each row's mirror image across the centre of `axis`,
@@ -560,85 +561,93 @@ class MirrorFold:
         self.columns = self.unfold[table.columns[:, self.rows]]
 
 
+@dataclass(frozen=True)
+class CoveredCells:
+    """The cells a domain covers (fraction > 0) in C order, read-only."""
+
+    flat: np.ndarray  # each cell's flat lattice index
+    fraction: np.ndarray  # its covered fraction
+    rows: np.ndarray  # int32 table row it reads: its own, its donor's, or -1 (none)
+
+
 class GridGeometry:
     """Classification of every node of a grid against a domain.
 
     inside          node strictly inside (sd < 0)
-    near            inside with at least one neighbor across the boundary
-                    (the mirror neighbor across r = 0 counts as inside)
-    volfrac         fraction of each node's cell covered by the domain,
-                    from a local planar model of the boundary
-    donor_flat      for covered cells whose center is outside: flat index of
-                    an adjacent inside node to read field values from (-1: none)
+    covered         the `CoveredCells`: fractions from a local planar model
+                    of the boundary; a cell whose center is outside reads
+                    its donor, an adjacent inside node
     neighbours      the `NeighbourTable`, built on first use; it finds and
                     measures the cut arms of the near nodes
+    near            read-only lattice of the table's near rows, per read
     """
 
     def __init__(self, domain, grid):
         self.domain = domain
         self.grid = grid
         pts = grid.node_points()
-        h = grid.h_r
-        fraction_band = 0.5 * h * math.sqrt(grid.k + 1) * 1.0001
+        fraction_band = 0.5 * grid.h_r * math.sqrt(grid.k + 1) * 1.0001
         sd = domain.signed_distance(pts, band=fraction_band)
         inside = sd < 0.0
         if not inside.any():
             raise EmptyDomain("no grid node lies inside the domain")
         self.inside = inside
 
-        dim = grid.k + 1
-        any_cut = np.zeros(grid.shape, dtype=bool)
-        for axis in range(dim):
-            for direction in _DIRS:
-                any_cut |= ~shift(inside, axis, direction, False)
-        self.near = inside & any_cut
-
         # no inside node may touch the lattice edge (except across r = 0,
         # where reflection supplies the neighbor)
-        if any(np.take(inside, i, axis).any() for axis in range(dim)
+        if any(np.take(inside, i, axis).any() for axis in range(grid.k + 1)
                for i in ((-1,) if axis == R_AXIS else (0, -1))):
             raise EmptyDomain("domain touches the lattice edge; margin too small")
 
-        self._build_volume_fractions(pts, sd, fraction_band)
+        self.covered = self._cover(pts, sd, fraction_band)
 
     @functools.cached_property
     def neighbours(self):
         return NeighbourTable(self)
 
-    def _build_volume_fractions(self, pts, sd, fraction_band):
+    @property
+    def near(self):
+        mask = np.zeros(self.inside.size, dtype=bool)
+        mask[np.flatnonzero(self.inside)[self.neighbours.near]] = True
+        mask.flags.writeable = False
+        return mask.reshape(self.grid.shape)
+
+    def _cover(self, pts, sd, fraction_band):
         grid, domain = self.grid, self.domain
         dim = grid.k + 1
-        h = grid.h_r
         band = np.abs(sd) <= fraction_band
         frac = np.where(sd < 0, 1.0, 0.0)
         if band.any():
-            frac[band] = domain.cell_fraction(pts[band], sd[band], h)
-        self.volfrac = frac
+            frac[band] = domain.cell_fraction(pts[band], sd[band], grid.h_r)
+        flat = np.flatnonzero(frac > 0)
+        inside = self.inside.reshape(-1)
+        read = np.where(inside[flat], flat, -1)
 
         # each covered cell whose center is outside reads from the first
         # inside neighbor against its normal, axes taken by decreasing |n|
         # (a tie goes to the lowest axis, on every CPU)
-        covered_out = (frac > 0) & ~self.inside
-        donor = np.full(grid.shape, -1, dtype=np.int64)
-        if covered_out.any():
-            idx = np.argwhere(covered_out)
-            flat = np.flatnonzero(covered_out)
-            normals = domain.sd_gradient(pts[covered_out])
+        out = flat[read < 0]
+        if out.size:
+            idx = np.stack(np.unravel_index(out, grid.shape), axis=-1)
+            normals = domain.sd_gradient(pts.reshape(-1, dim)[out])
             order = np.argsort(-np.abs(normals), axis=-1, kind="stable")
             strides = np.array([int(np.prod(grid.shape[d + 1:])) for d in range(dim)])
-            inside = self.inside.reshape(-1)
-            found = np.full(flat.size, -1, dtype=np.int64)
+            found = np.full(out.size, -1, dtype=np.int64)
             for rank in range(dim):
                 todo = np.flatnonzero(found < 0)
                 d = order[todo, rank]
                 step = np.where(normals[todo, d] > 0, -1, 1)
                 target = idx[todo, d] + step
-                nb = flat[todo] + step * strides[d]
+                nb = out[todo] + step * strides[d]
                 hit = (target >= 0) & (target < np.take(grid.shape, d))
                 hit[hit] = inside[nb[hit]]
                 found[todo[hit]] = nb[hit]
-            donor[covered_out] = found
-        self.donor_flat = donor
+            read[read < 0] = found
+        rows = np.where(read >= 0, np.searchsorted(np.flatnonzero(inside), read), -1)
+        cells = CoveredCells(flat, frac.reshape(-1)[flat], rows.astype(np.int32))
+        for array in (cells.flat, cells.fraction, cells.rows):
+            array.flags.writeable = False
+        return cells
 
 
 def _halfspace_cell_fraction(normals, sd, h):

@@ -6,8 +6,8 @@ surface measure sigma(a,k) t^(a+k) with sigma = (a+1+k) omega; both
 constants come from Gamma-function closed forms evaluated through
 log-Gamma to keep relative error at machine level.
 
-Volume quadrature is a midpoint rule on the staggered grid with exact
-weighted cell measures in r and planar-model covered fractions at cells
+Volume quadrature is a midpoint rule over the geometry's covered cells
+with exact weighted cell measures in r and planar-model fractions where
 the boundary crosses.  Sphere quadrature uses the deterministic lattices
 of geometry.sphere_lattice restricted by evenness to |r|^a weights.
 """
@@ -83,9 +83,9 @@ def weighted_volume_integral(field, params, domain=None, grid=None):
     """Integral of `field` against |r|^a dx over the half domain {r > 0}.
 
     field may be a ScalarField (domain/grid implied), a callable on points,
-    or a numeric constant.  Cells crossed by the boundary contribute their
-    covered fraction; covered cells whose center lies outside read the
-    value of an adjacent inside node (callables are evaluated in place).
+    or a numeric constant.  Each covered cell adds fraction x weighted cell
+    measure x integrand: a field read at the cell's row (its donor's, or 0
+    without one), a callable at the cell centre.
     Returns the integral as a float.
     """
     if isinstance(field, ScalarField):
@@ -93,24 +93,17 @@ def weighted_volume_integral(field, params, domain=None, grid=None):
         grid = field.grid
     if domain is None or grid is None:
         raise ValueError("domain and grid are required for non-field integrands")
-    geo = grid_geometry(domain, grid)
+    cells = grid_geometry(domain, grid).covered
     m_r = r_cell_measure(grid, params)
-    cell_w = geo.volfrac * m_r.reshape((-1,) + (1,) * grid.k) * grid.h_y**grid.k
+    cell_w = m_r[cells.flat // (grid.n_nodes // grid.n_r)] * cells.fraction
+    cell_w *= grid.h_y**grid.k
 
-    covered = geo.volfrac > 0.0
     if isinstance(field, ScalarField):
-        lattice = field.values
-        vals = np.where(covered, lattice, 0.0)
-        ext = covered & ~geo.inside
-        if ext.any():
-            donor = geo.donor_flat[ext]
-            flat = lattice.reshape(-1)
-            vals[ext] = np.where(donor >= 0, flat[np.maximum(donor, 0)], 0.0)
+        vals = np.where(cells.rows >= 0, field.active[cells.rows], 0.0)
     elif callable(field):
-        vals = np.zeros(grid.shape)
-        vals[covered] = np.asarray(field(grid.points_at(covered)), dtype=float)
+        vals = np.asarray(field(grid.points_of(cells.flat)), dtype=float)
     else:
-        vals = np.where(covered, float(field), 0.0)
+        vals = float(field)
 
     return float(np.sum(vals * cell_w))
 

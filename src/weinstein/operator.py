@@ -360,22 +360,22 @@ def _normal_gradient(field, gradient, samples=None, count=20000, depth=None):
 def normal_derivative_at_axis(field):
     """Estimate u_r(0, y) per tangential column from the first three
     r-layers: u_r(0) ~ (-2 u_0 + 3 u_1 - u_2)/h (second order; exact zero
-    for fields even in r on symmetric data).
+    for fields even in r on symmetric data), read through the rows.
 
     Returns (y_points, values) over the columns whose first three r-nodes
     are inside the domain."""
     grid = field.grid
     if grid.n_r < 3:
         raise GridTooCoarse("need at least three r-layers for the axis probe")
-    inside = field.geometry.inside
-    ok = inside[0] & inside[1] & inside[2]
-    u0, u1, u2 = (layer[ok] for layer in field.values[:3])
+    geo = field.geometry
+    layer = np.flatnonzero(geo.inside[0])  # flat indices of rows 0, 1, .. (the first r layer)
+    up = geo.neighbours.columns[-1]  # (r,+); a column holding its own row has no neighbour
+    r0 = np.arange(layer.size, dtype=np.int32)
+    r1, r2 = up[r0], up[up[r0]]
+    ok = (r1 != r0) & (r2 != r1)
+    u0, u1, u2 = (field.active[r[ok]] for r in (r0, r1, r2))
     vals = (-2.0 * u0 + 3.0 * u1 - u2) / grid.h_r
-    cols = np.argwhere(ok)
-    y_pts = np.stack(
-        [grid.y_nodes(m)[cols[:, m]] for m in range(grid.k)], axis=-1
-    ) if grid.k else np.zeros((vals.size, 0))
-    return y_pts, vals
+    return grid.points_of(layer[ok])[:, 1:], vals
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .differential import deep_mask, gradient_fields
+from .differential import gradient_fields
 from .errors import (
     BreakdownDetected,
     ConfigError,
@@ -382,7 +382,7 @@ def _manufactured_errors(v, v_h):
     q = v_h.domain.offset(v_h.grid.points_at(geo.inside))  # the errors read no other node
     err = float(np.max(np.abs(v_h.active - v.eval_float(q))))
 
-    deep = deep_mask(geo)[geo.inside]
+    deep = geo.neighbours.deep
     q = q[deep]  # the deep nodes', before the gradients are built
     gerr = 0.0
     for axis, g in enumerate(gradient_fields(v_h)):
@@ -557,7 +557,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
             if mms_gerr is None:
                 skipped(name, "tolerance calibration solve failed")
                 continue
-            deep = deep_mask(u.geometry)[u.geometry.inside]
+            deep = u.geometry.neighbours.deep
             c = stats.mean
             value = float(np.max(np.abs(P().active[deep] - c * c)))
             gmax = float(np.sqrt(np.nanmax(np.maximum(g().active[deep], 0.0))))

@@ -266,8 +266,10 @@ def test_points_at_are_the_node_points_of_the_mask(dom, h):
     grid = StaggeredGrid.from_domain(dom, h)
     geo = grid_geometry(dom, grid)
     pts = grid.node_points()
-    for mask in (geo.inside, geo.near, geo.volfrac > 0, np.zeros(grid.shape, dtype=bool)):
+    for mask in (geo.inside, geo.near, np.zeros(grid.shape, dtype=bool)):
         assert _bitwise_equal(grid.points_at(mask), pts[mask])
+    flat = geo.covered.flat
+    assert _bitwise_equal(grid.points_of(flat), pts.reshape(-1, grid.k + 1)[flat])
 
 
 def test_cut_fraction_solves_boundary_crossing():
@@ -379,7 +381,7 @@ def test_volume_fractions_integrate_the_half_disc():
     for h, tol in ((1 / 32, 2e-3), (1 / 64, 5e-4)):
         grid = StaggeredGrid.from_domain(dom, h)
         geo = grid_geometry(dom, grid)
-        vol = float(np.sum(geo.volfrac)) * grid.h_r * grid.h_y
+        vol = float(np.sum(geo.covered.fraction)) * grid.h_r * grid.h_y
         assert vol == pytest.approx(math.pi / 2, abs=tol)
 
 
@@ -387,7 +389,7 @@ def test_box_volume_fractions_are_exact():
     dom = Box(half_widths=(0.5, 0.75), center=(0.0,))
     grid = StaggeredGrid.from_domain(dom, 1 / 16)
     geo = grid_geometry(dom, grid)
-    vol = float(np.sum(geo.volfrac)) * grid.h_r * grid.h_y
+    vol = float(np.sum(geo.covered.fraction)) * grid.h_r * grid.h_y
     assert vol == pytest.approx(0.5 * 1.5, abs=1e-12)
 
 
@@ -419,8 +421,10 @@ def test_banded_geometry_matches_the_exact_distance_everywhere(semi, center, h, 
         rows.append(0)
         geos.append(GridGeometry(shape(semi_axes=semi, center=center), grid))
     geo, ref = geos
-    for name in ("inside", "near", "volfrac", "donor_flat"):
+    for name in ("inside", "near"):
         assert np.array_equal(getattr(geo, name), getattr(ref, name)), name
+    for name in ("flat", "fraction", "rows"):
+        assert _bitwise_equal(getattr(geo.covered, name), getattr(ref.covered, name)), name
     for name in ("bc_rows", "bc_slots", "bc_points"):
         assert _bitwise_equal(getattr(geo.neighbours, name), getattr(ref.neighbours, name)), name
     for got, want in zip(geo.neighbours.weights, ref.neighbours.weights):
@@ -429,9 +433,10 @@ def test_banded_geometry_matches_the_exact_distance_everywhere(semi, center, h, 
 
 
 def test_the_cached_geometry_keeps_no_distance_field_or_csr_shadow():
-    """A geometry with its table retains the masks, fractions and donors
-    over the lattice and one column array per slot over the inside rows,
-    but no distance field and no second record of the neighbours."""
+    """A geometry with its table retains the inside mask over the lattice,
+    the covered cells' record and one column array per slot over the
+    inside rows, but no distance field, no fraction or donor lattice and
+    no second record of the neighbours."""
     dom = Ball(1.0, center=(0.02, 0.0))
     grid = StaggeredGrid.from_domain(dom, 1 / 32)
     tracemalloc.start()
@@ -441,7 +446,7 @@ def test_the_cached_geometry_keeps_no_distance_field_or_csr_shadow():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= 7 * 2**20, retained / 2**20
+    assert retained <= 6 * 2**20, retained / 2**20
 
 
 @settings(max_examples=40, deadline=None)

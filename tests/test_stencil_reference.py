@@ -11,8 +11,17 @@ node, from cut fractions over whole-lattice arrays; the derivatives must
 reproduce it bit for bit.  `_reference_derivatives` is the
 numerator/denominator form the derivative stencils used before they read
 `three_point_weights`; the two agree up to rounding.
-`_reference_donors` is the per-node loop that picked the donor of each
-covered cell whose centre is outside; the array code must pick the same.
+`shift` is the lattice shift the geometry found its near and deep masks
+with before it read the table; `_reference_near` and `_reference_deep`
+built on it must equal the table's rows and their lattice views bit for
+bit.  `_reference_fractions` are the covered fractions over the whole
+lattice, and `_reference_donors` the per-node loop that picked the donor
+of each covered cell whose centre is outside; the covered cells' record
+must hold the same fractions and read the same rows, and the quadrature
+over it must match the lattice sum `_reference_volume_integral` to
+rounding.  `_reference_axis_probe` is the three-layer lattice formula the
+axis probe read before it walked the table's (r,+) columns; the two
+must agree bit for bit.
 `_reference_interpolate` is the per-corner interpolation that folded each
 corner index across r = 0 and carried a sign per corner, before the
 lattice was read with a mirror layer; the padded gathers must reproduce
@@ -47,10 +56,34 @@ from weinstein import (
 from weinstein.differential import axis_derivative, gradient_fields
 from weinstein.errors import MissingBoundaryData
 from weinstein.field import on_points
-from weinstein.geometry import ARM_FLOOR, R_AXIS, MirrorFold, shift, three_point_weights
-from weinstein.measure import r_cell_measure
+from weinstein.differential import deep_mask
+from weinstein.geometry import ARM_FLOOR, R_AXIS, MirrorFold, three_point_weights
+from weinstein.measure import r_cell_measure, weighted_volume_integral
 from weinstein import solver
-from weinstein.operator import CSV_BLOCK_ROWS, _mirror_classes, slot_product
+from weinstein.operator import (
+    CSV_BLOCK_ROWS,
+    _mirror_classes,
+    normal_derivative_at_axis,
+    slot_product,
+)
+
+
+def shift(array, axis, direction, fill):
+    """Values of the neighbor one step along (axis, direction).
+
+    Nodes whose neighbor is off the lattice get `fill`, except below the
+    first r-layer, where the mirror node across r = 0 supplies the value."""
+    out = np.full_like(array, fill)
+    src = [slice(None)] * array.ndim
+    dst = list(src)
+    if direction == 1:
+        src[axis], dst[axis] = slice(1, None), slice(0, -1)
+    else:
+        src[axis], dst[axis] = slice(0, -1), slice(1, None)
+    out[tuple(dst)] = array[tuple(src)]
+    if axis == R_AXIS and direction == -1:  # the r axis leads, so row 0 is r = h/2
+        out[0] = array[0]
+    return out
 
 
 def _reference_stencil(domain, grid, params):
@@ -532,12 +565,33 @@ def test_class_writer_writes_an_r_layer_larger_than_a_block_whole(tmp_path):
     _assert_writes_the_row_loop_bytes(field, tmp_path)
 
 
-def _reference_donors(geo):
-    """donor_flat built node by node: the first inside neighbour against
-    the normal, trying the axes by decreasing |n| (a tie to the lowest)."""
+_DONOR_CASES = [
+    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1 / 96),
+    (Ball(1.0, center=(0.02, -0.03)), 1 / 20),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 16),
+    (Box(half_widths=(0.51, 0.77), center=(0.1,)), 1 / 32),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 10),
+]
+
+
+def _reference_fractions(geo):
+    """Covered fraction of every lattice cell, from the exact distance."""
+    grid, domain = geo.grid, geo.domain
+    pts = grid.node_points()
+    sd = domain.signed_distance(pts)
+    band = np.abs(sd) <= 0.5 * grid.h_r * math.sqrt(grid.k + 1) * 1.0001
+    frac = np.where(sd < 0, 1.0, 0.0)
+    frac[band] = domain.cell_fraction(pts[band], sd[band], grid.h_r)
+    return frac
+
+
+def _reference_donors(geo, frac):
+    """Flat donor index of every covered cell whose centre is outside (-1
+    elsewhere), node by node: the first inside neighbour against the
+    normal, trying the axes by decreasing |n| (a tie to the lowest)."""
     grid, inside = geo.grid, geo.inside
     dim = grid.k + 1
-    covered_out = (geo.volfrac > 0) & ~inside
+    covered_out = (frac > 0) & ~inside
     donor = np.full(grid.shape, -1, dtype=np.int64)
     idx = np.argwhere(covered_out)
     normals = geo.domain.sd_gradient(grid.node_points()[covered_out])
@@ -555,18 +609,121 @@ def _reference_donors(geo):
     return donor
 
 
-@pytest.mark.parametrize("domain,h", [
-    (Ellipsoid(semi_axes=(1.0, 2.0), center=(0.013,)), 1 / 96),
-    (Ball(1.0, center=(0.02, -0.03)), 1 / 20),
-    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 16),
-    (Box(half_widths=(0.51, 0.77), center=(0.1,)), 1 / 32),
-    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 10),
-])
+@pytest.mark.parametrize("domain,h", _DONOR_CASES)
 def test_donors_match_the_per_node_loop(domain, h):
     geo = grid_geometry(domain, StaggeredGrid.from_domain(domain, h))
-    want = _reference_donors(geo)
-    assert (want >= 0).any()
-    assert _bitwise_equal(geo.donor_flat, want)
+    frac = _reference_fractions(geo)
+    donor = _reference_donors(geo, frac)
+    assert (donor >= 0).any()
+    cells = geo.covered
+    assert _bitwise_equal(cells.flat, np.flatnonzero(frac > 0))
+    assert _bitwise_equal(cells.fraction, frac.reshape(-1)[cells.flat])
+    row_of = np.full(geo.grid.n_nodes, -1, dtype=np.int32)
+    row_of[np.flatnonzero(geo.inside)] = np.arange(np.count_nonzero(geo.inside))
+    read = np.where(geo.inside.reshape(-1)[cells.flat], cells.flat, donor.reshape(-1)[cells.flat])
+    assert _bitwise_equal(cells.rows, np.where(read >= 0, row_of[read], -1).astype(np.int32))
+
+
+def _reference_near(inside):
+    any_cut = np.zeros(inside.shape, dtype=bool)
+    for axis in range(inside.ndim):
+        for direction in (1, -1):
+            any_cut |= ~shift(inside, axis, direction, False)
+    return inside & any_cut
+
+
+def _reference_deep(inside):
+    mask = inside
+    for axis in range(inside.ndim):
+        for direction in (1, -1):
+            mask = mask & shift(mask, axis, direction, False)
+    return mask
+
+
+@pytest.mark.parametrize("domain,h", _DONOR_CASES)
+def test_near_and_deep_rows_match_the_lattice_shifts_bitwise(domain, h):
+    geo = grid_geometry(domain, StaggeredGrid.from_domain(domain, h))
+    table, inside = geo.neighbours, geo.inside
+    near, deep = _reference_near(inside), _reference_deep(inside)
+    assert _bitwise_equal(geo.near, near)
+    assert _bitwise_equal(deep_mask(geo), deep)
+    assert _bitwise_equal(table.near, np.flatnonzero(near[inside]))
+    assert _bitwise_equal(table.deep, deep[inside])
+    assert _bitwise_equal(table.ghost, np.argwhere(near)[:, 0] == 0)
+    assert deep.any() and near.any()
+
+
+def _reference_volume_integral(integrand, params, geo):
+    """The quadrature as a lattice sum: fraction times cell measure per
+    lattice cell, a field read at the node or at its donor."""
+    grid = geo.grid
+    frac = _reference_fractions(geo)
+    m_r = r_cell_measure(grid, params)
+    cell_w = frac * m_r.reshape((-1,) + (1,) * grid.k) * grid.h_y**grid.k
+    covered = frac > 0.0
+    if isinstance(integrand, ScalarField):
+        lattice = integrand.values
+        vals = np.where(covered, lattice, 0.0)
+        ext = covered & ~geo.inside
+        donor = _reference_donors(geo, frac)[ext]
+        vals[ext] = np.where(donor >= 0, lattice.reshape(-1)[np.maximum(donor, 0)], 0.0)
+    elif callable(integrand):
+        vals = np.zeros(grid.shape)
+        vals[covered] = integrand(grid.node_points()[covered])
+    else:
+        vals = np.where(covered, float(integrand), 0.0)
+    return float(np.sum(vals * cell_w))
+
+
+@pytest.mark.parametrize("domain,h", _DONOR_CASES)
+def test_quadrature_on_covered_cells_matches_the_lattice_sum(domain, h):
+    grid = StaggeredGrid.from_domain(domain, h)
+    geo = grid_geometry(domain, grid)
+    params = WeinsteinParams(a=1.5, k=domain.k)
+    field = ScalarField.from_function(domain, grid, _dirichlet)
+    for integrand in (field, _dirichlet, 0.7):
+        got = weighted_volume_integral(integrand, params, domain=domain, grid=grid)
+        want = _reference_volume_integral(integrand, params, geo)
+        assert abs(got - want) <= 1e-14 * abs(want), integrand
+
+
+def _reference_axis_probe(field):
+    grid, inside = field.grid, field.geometry.inside
+    ok = inside[0] & inside[1] & inside[2]
+    u0, u1, u2 = (layer[ok] for layer in field.values[:3])
+    cols = np.argwhere(ok)
+    y = np.stack([grid.y_nodes(m)[cols[:, m]] for m in range(grid.k)], axis=-1)
+    return y, (-2.0 * u0 + 3.0 * u1 - u2) / grid.h_r
+
+
+@pytest.mark.parametrize("domain,h", _DONOR_CASES)
+def test_axis_probe_matches_the_three_layer_lattice_formula_bitwise(domain, h):
+    grid = StaggeredGrid.from_domain(domain, h)
+    field = ScalarField.from_function(domain, grid, _dirichlet)
+    for got, want in zip(normal_derivative_at_axis(field), _reference_axis_probe(field)):
+        assert want.size and _bitwise_equal(got, want)
+
+
+def test_the_quadrature_and_the_axis_probe_hold_less_than_one_lattice():
+    """The weighted volume and the axis probe read the covered cells' and
+    the first layer's rows: on the k = 3 ball each call peaks under one
+    lattice of floats."""
+    domain = Ball(1.0, center=(0.0, 0.0, 0.0))
+    grid = StaggeredGrid.from_domain(domain, 1 / 10)
+    params = WeinsteinParams(a=1.0, k=3)
+    field = ScalarField.from_function(domain, grid, _dirichlet)
+    field.geometry.neighbours  # the cached table is not the calls' memory
+    lattice = grid.n_nodes * np.dtype(float).itemsize
+    for call in (lambda: weighted_volume_integral(field, params),
+                 lambda: weighted_volume_integral(1.0, params, domain=domain, grid=grid),
+                 lambda: normal_derivative_at_axis(field)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lattice, peak / lattice
 
 
 def _reference_interpolate(field, points):
