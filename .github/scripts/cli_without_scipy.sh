@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# One verify, one sweep and one solve through the CLI, a check that a
-# sweep point and a standalone run write the same u.csv bytes, then a k = 3
-# verify run twice, whose reports must be equal.  Run from
-# the repository root once scipy is uninstalled; every file it writes lies
-# under $RUNNER_TEMP.
+# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and one
+# solve through the CLI, a check that a sweep point and a standalone run
+# write the same u.csv bytes, then a k = 3 verify run twice, whose reports
+# must be equal.  Run from the repository root once scipy is uninstalled;
+# every file it writes lies under $RUNNER_TEMP.
 set -euo pipefail
 : "${RUNNER_TEMP:?set RUNNER_TEMP to a scratch directory}"
 
@@ -16,6 +16,14 @@ status=0
 PYTHONPATH=src python -m weinstein verify --config "$RUNNER_TEMP/verify.json" || status=$?
 # the ellipsoid fails the rigidity checks, as the theorem predicts
 test "$status" -eq 1
+
+# a k = 2 box: cut arms end on faces, and the boundary checks are skipped
+cat > "$RUNNER_TEMP/verify_box.json" <<JSON
+{"params": {"a": 1.0, "k": 2},
+ "domain": {"type": "box", "half_widths": [0.5, 0.5, 0.5], "center": [0.0, 0.0]},
+ "grid": {"h": 0.0625}, "output_dir": "$RUNNER_TEMP/verify_box"}
+JSON
+PYTHONPATH=src python -m weinstein verify --config "$RUNNER_TEMP/verify_box.json"
 
 # k = 2 points: the Jacobi solve on the folded system
 cat > "$RUNNER_TEMP/sweep.json" <<JSON

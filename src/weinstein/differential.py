@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MissingBoundaryData
 from .field import ScalarField, on_points
-from .geometry import R_AXIS, three_point_weights
+from .geometry import R_AXIS, on_lattice, three_point_weights
 
 
 def axis_derivative(field, axis):
@@ -41,7 +41,7 @@ def axis_derivative(field, axis):
                 )
             nb[direction][table.bc_rows[cut]] = on_points(field.boundary_values,
                                                           table.bc_points[cut])
-    h = field.grid.step(axis)
+    h = field.grid.h
     weights = [np.full(table.row_r.size, c) for c in three_point_weights(h, h)[0]]
     for full, part in zip(weights, table.weights[axis][0]):
         full[table.near] = part
@@ -61,8 +61,6 @@ def gradient_fields(field):
 
 
 def deep_mask(geo):
-    """Lattice view of the table's `deep` rows (nodes whose full 3^d
-    neighborhood is inside, r-mirror allowed); the package reads the rows."""
-    mask = np.zeros(geo.grid.shape, dtype=bool)
-    mask[geo.inside] = geo.neighbours.deep
-    return mask
+    """Read-only lattice view of the table's `deep` rows (nodes whose full
+    3^d neighborhood is inside, r-mirror allowed); the package reads the rows."""
+    return on_lattice(geo.inside, geo.neighbours.deep, False)

@@ -18,7 +18,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import grid_geometry
+from .geometry import grid_geometry, on_lattice
 
 
 BoundaryData = Union[None, float, Callable]
@@ -74,10 +74,7 @@ class ScalarField:
     def values(self):
         """The read-only lattice of `active`, NaN outside the domain, built
         on each read (the package reads `active`)."""
-        lattice = np.full(self.grid.shape, np.nan)
-        lattice[self.geometry.inside] = self.active
-        lattice.flags.writeable = False
-        return lattice
+        return on_lattice(self.geometry.inside, self.active, np.nan)
 
     # -- interpolation -----------------------------------------------------------
 
@@ -99,8 +96,8 @@ class ScalarField:
         padded[1:][self.geometry.inside] = self.active
         padded[0] = sign * padded[1]
 
-        scaled = [np.abs(pts[:, 0]) / grid.h_r - 0.5]
-        scaled += [(pts[:, 1 + m] - y0) / grid.h_y for m, y0 in enumerate(grid.y_start)]
+        scaled = [np.abs(pts[:, 0]) / grid.h - 0.5]
+        scaled += [(pts[:, 1 + m] - y0) / grid.h for m, y0 in enumerate(grid.y_start)]
         lower = [np.floor(s) for s in scaled]
         frac = [s - c for s, c in zip(scaled, lower)]
         lower[0] += 1  # the mirror layer is padded index 0

@@ -37,10 +37,10 @@ class _AxialDomain:
     coordinates of the centre) and the size named by the class attribute
     `shape_key` (one extent per axis, or the ball's scalar radius).  It
     also sets `kind`, the "type" of configs and descriptors, and, when its
-    boundary has corners, `smooth_boundary = False`.  `extents` are the
-    k+1 semi-extents along (r, y1, ..., yk).  A shape that knows more
-    overrides `exact_torsion` (a closed-form solution) or `cell_fraction`
-    (an exact cell overlap).
+    boundary has corners, `smooth_boundary = False`.  `extents`, the k+1
+    semi-extents along (r, y1, ..., yk), are its one record of size.  A
+    shape that knows more overrides `exact_torsion` (a closed-form
+    solution) or `cell_fraction` (an exact cell overlap).
 
     `signed_distance(x, band=inf)` has one contract on every shape: its
     value is exact where |sd| <= band; elsewhere it has the sign of sd and
@@ -71,14 +71,6 @@ class _AxialDomain:
     @property
     def y_center(self):
         return self.center
-
-    @property
-    def r_extent(self):
-        return self.extents[0]
-
-    @property
-    def y_halfwidth(self):
-        return self.extents[1:]
 
     def offset(self, x):
         """x - (0, center): the points relative to the centre, r kept signed."""
@@ -325,19 +317,19 @@ class Box(_AxialDomain):
 
 @dataclass(frozen=True)
 class StaggeredGrid:
-    """Tensor-product lattice; r nodes at (i + 1/2) h_r, i = 0..n_r-1."""
+    """Tensor-product lattice of one step h on every axis (the cell
+    fractions, the cut band and Box.cell_fraction measure square cells);
+    r nodes at (i + 1/2) h, i = 0..n_r-1.  `h_r` and `h_y` are read-only
+    aliases of h, the names of the report's grid keys."""
 
-    h_r: float
-    h_y: float
+    h: float
     n_r: int
     n_y: tuple
     y_start: tuple
 
+    h_r = h_y = property(lambda self: self.h)
+
     def __post_init__(self):
-        # cell fractions, the cut band and Box.cell_fraction measure with
-        # one step, so the quadrature needs square cells
-        if self.h_r != self.h_y:
-            raise ValueError(f"h_r = {self.h_r} and h_y = {self.h_y} must be equal")
         object.__setattr__(self, "n_y", tuple(int(n) for n in self.n_y))
         object.__setattr__(self, "y_start", tuple(float(y) for y in self.y_start))
 
@@ -347,14 +339,14 @@ class StaggeredGrid:
         h = float(h)
         if h <= 0:
             raise ValueError("h must be positive")
-        n_r = int(math.floor(domain.r_extent / h + 1e-12)) + MARGIN_CELLS
+        n_r = int(math.floor(domain.extents[0] / h + 1e-12)) + MARGIN_CELLS
         n_y, y_start = [], []
-        for c, w in zip(domain.y_center, domain.y_halfwidth):
+        for c, w in zip(domain.y_center, domain.extents[1:]):
             half = int(math.floor(w / h + 1e-12)) + MARGIN_CELLS
             n = 2 * half
             n_y.append(n)
             y_start.append(c - (n - 1) / 2.0 * h)
-        return cls(h_r=h, h_y=h, n_r=n_r, n_y=tuple(n_y), y_start=tuple(y_start))
+        return cls(h=h, n_r=n_r, n_y=tuple(n_y), y_start=tuple(y_start))
 
     @property
     def k(self):
@@ -369,10 +361,10 @@ class StaggeredGrid:
         return int(np.prod(self.shape))
 
     def r_nodes(self):
-        return (np.arange(self.n_r) + 0.5) * self.h_r
+        return (np.arange(self.n_r) + 0.5) * self.h
 
     def y_nodes(self, m):
-        return self.y_start[m] + np.arange(self.n_y[m]) * self.h_y
+        return self.y_start[m] + np.arange(self.n_y[m]) * self.h
 
     def axes(self):
         return [self.r_nodes()] + [self.y_nodes(m) for m in range(self.k)]
@@ -392,9 +384,14 @@ class StaggeredGrid:
         """Coordinates of the nodes where `mask` holds, in C order."""
         return self.points_of(np.flatnonzero(mask))
 
-    def step(self, axis):
-        """Lattice spacing along `axis`."""
-        return self.h_r if axis == R_AXIS else self.h_y
+
+def on_lattice(inside, values, fill):
+    """The read-only lattice of `values`, one per inside node in C order
+    (a table row), over the mask `inside`, with `fill` outside."""
+    lattice = np.full(inside.shape, fill, dtype=values.dtype)
+    lattice[inside] = values
+    lattice.flags.writeable = False
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +457,17 @@ class NeighbourTable:
         self.mirror_axes = tuple(
             1 + m for m, c in enumerate(geo.domain.y_center)
             if grid.n_y[m] % 2 == 0
-            and abs(grid.y_start[m] + (grid.n_y[m] - 1) / 2.0 * grid.h_y - c)
-            <= 1e-12 * (grid.h_y + abs(c))
+            and abs(grid.y_start[m] + (grid.n_y[m] - 1) / 2.0 * grid.h - c)
+            <= 1e-12 * (grid.h + abs(c))
             and np.array_equal(geo.inside, np.flip(geo.inside, 1 + m)))
         flat = np.flatnonzero(geo.inside)
-        row_of = np.full(grid.n_nodes, -1, dtype=np.int32)
-        row_of[flat] = np.arange(flat.size)
+        own = np.arange(flat.size, dtype=np.int32)
+        row_of = on_lattice(geo.inside, own, -1).reshape(-1)
         strides = np.array([int(np.prod(grid.shape[axis + 1:])) for axis in range(dim)])
         self.row_r = (flat // strides[R_AXIS]).astype(np.int32)
         # the first r layer's (r,-) index wraps round to the last layer,
         # where GridGeometry allows no inside node, so that slot is empty
         neighbour = row_of[flat[:, None] + np.concatenate([-strides, [0], strides[::-1]])]
-        own = np.arange(flat.size, dtype=np.int32)
         self.columns = np.where(neighbour >= 0, neighbour, own[:, None]).T.copy()
 
         cut_arm = neighbour < 0
@@ -480,8 +476,8 @@ class NeighbourTable:
         self.ghost = self.row_r[self.near] == 0
         near_points = grid.points_of(flat[self.near])
         self.weights, bc_rows, bc_slots, bc_points, keys = [], [], [], [], []
+        h = grid.h
         for axis in range(dim):
-            h = grid.step(axis)
             arms = {}
             for direction in _DIRS:
                 slot = dim + direction * (dim - axis)
@@ -521,18 +517,20 @@ class NeighbourTable:
     def mirror(self, axis):
         """int32 row of each row's mirror image across the centre of `axis`,
         one of `mirror_axes`."""
-        row = np.full(self.inside.shape, -1, dtype=np.int32)
-        row[self.inside] = np.arange(self.columns.shape[1], dtype=np.int32)
+        row = on_lattice(self.inside, np.arange(self.columns.shape[1], dtype=np.int32), -1)
         return np.flip(row, axis)[self.inside]
 
     def classes(self, axes):
-        """int32 map of each row to the largest row among its mirror images
-        over `axes` (some of `mirror_axes`), the image in the upper half of
-        every axis in `axes`; a row represents its class if it maps to itself."""
+        """(rows, unfold), int32: the mirror classes of the rows over `axes`
+        (some of `mirror_axes`) in fold form.  `rows` are the ascending
+        representatives, each its class's largest row (its image in the
+        upper half of every axis in `axes`); `unfold` maps each row to its
+        class's index in `rows`.  `MirrorFold` and the `u.csv` writer read it."""
         rep = np.arange(self.columns.shape[1], dtype=np.int32)
         for axis in axes:
             np.maximum(rep, rep.take(self.mirror(axis)), out=rep)
-        return rep
+        own = rep == np.arange(rep.size, dtype=np.int32)
+        return np.flatnonzero(own).astype(np.int32), (np.cumsum(own, dtype=np.int32) - 1)[rep]
 
 
 class MirrorFold:
@@ -540,25 +538,21 @@ class MirrorFold:
     lattice axes `axes` (some of its `mirror_axes`), kept on the matrix it
     folds (`operator.SlotMatrix.fold`).
 
-    Its rows are the fundamental rows, the representatives of the table's
-    `classes(axes)`: the inside nodes in the upper half of every folded
-    axis, in C order, with the lattice mask `inside` (a view of the upper
-    part of the table's).  `rows` (int32) are their rows in the table;
-    `unfold` (int32) maps each row of the table to the fundamental row of
-    its class, so x = x_fold[unfold] and b_fold = b[rows].  `columns` are
-    the table's columns of `rows` mapped through `unfold`: a neighbour
-    across a mirror plane maps to the row itself, and along the last
-    lattice axis a neighbour is still the next or previous row."""
+    Its rows are the fundamental rows, the inside nodes in the upper half
+    of every folded axis, in C order, with the lattice mask `inside` (a
+    view of the upper part of the table's).  `rows` and `unfold` are the
+    table's `classes(axes)`, so x = x_fold[unfold] and b_fold = b[rows].
+    `columns`, slot-major and C-contiguous like the table's, are the
+    table's columns of `rows` mapped through `unfold`: a neighbour across
+    a mirror plane maps to the row itself, and along the last lattice axis
+    a neighbour is still the next or previous row."""
 
     def __init__(self, table, axes):
         self.axes = axes
         self.inside = table.inside[tuple(slice(n // 2 if axis in axes else 0, None)
                                          for axis, n in enumerate(table.inside.shape))]
-        rep = table.classes(axes)
-        own = rep == np.arange(rep.size, dtype=np.int32)
-        self.rows = np.flatnonzero(own).astype(np.int32)
-        self.unfold = (np.cumsum(own, dtype=np.int32) - 1)[rep]
-        self.columns = self.unfold[table.columns[:, self.rows]]
+        self.rows, self.unfold = table.classes(axes)
+        self.columns = self.unfold[table.columns.take(self.rows, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -586,7 +580,7 @@ class GridGeometry:
         self.domain = domain
         self.grid = grid
         pts = grid.node_points()
-        fraction_band = 0.5 * grid.h_r * math.sqrt(grid.k + 1) * 1.0001
+        fraction_band = 0.5 * grid.h * math.sqrt(grid.k + 1) * 1.0001
         sd = domain.signed_distance(pts, band=fraction_band)
         inside = sd < 0.0
         if not inside.any():
@@ -607,10 +601,10 @@ class GridGeometry:
 
     @property
     def near(self):
-        mask = np.zeros(self.inside.size, dtype=bool)
-        mask[np.flatnonzero(self.inside)[self.neighbours.near]] = True
-        mask.flags.writeable = False
-        return mask.reshape(self.grid.shape)
+        table = self.neighbours
+        near = np.zeros(table.row_r.size, dtype=bool)
+        near[table.near] = True
+        return on_lattice(self.inside, near, False)
 
     def _cover(self, pts, sd, fraction_band):
         grid, domain = self.grid, self.domain
@@ -618,7 +612,7 @@ class GridGeometry:
         band = np.abs(sd) <= fraction_band
         frac = np.where(sd < 0, 1.0, 0.0)
         if band.any():
-            frac[band] = domain.cell_fraction(pts[band], sd[band], grid.h_r)
+            frac[band] = domain.cell_fraction(pts[band], sd[band], grid.h)
         flat = np.flatnonzero(frac > 0)
         inside = self.inside.reshape(-1)
         read = np.where(inside[flat], flat, -1)

@@ -66,7 +66,7 @@ def r_cell_measure(grid, params):
     Using the exact cell measure (rather than r_i^a h) keeps the flux-form
     operator and the volume quadrature consistent through the axis cell."""
     a = params.a
-    h = grid.h_r
+    h = grid.h
     i = np.arange(grid.n_r, dtype=float)
     # a huge a overflows to inf/NaN without a warning: `solve` names the
     # non-finite matrix that results
@@ -96,7 +96,7 @@ def weighted_volume_integral(field, params, domain=None, grid=None):
     cells = grid_geometry(domain, grid).covered
     m_r = r_cell_measure(grid, params)
     cell_w = m_r[cells.flat // (grid.n_nodes // grid.n_r)] * cells.fraction
-    cell_w *= grid.h_y**grid.k
+    cell_w *= grid.h**grid.k
 
     if isinstance(field, ScalarField):
         vals = np.where(cells.rows >= 0, field.active[cells.rows], 0.0)
@@ -139,7 +139,7 @@ def _sphere_points(params, center, t, n_samples):
 
 def _check_containment(field, pts):
     grid = field.grid
-    margin = grid.h_r * math.sqrt(grid.k + 1.0)
+    margin = grid.h * math.sqrt(grid.k + 1.0)
     # exact within 0.5 * margin, so the comparison reads the sign of sd elsewhere
     sd = field.domain.signed_distance(pts, band=0.5 * margin)
     if np.any(sd > -0.5 * margin):

@@ -137,13 +137,14 @@ class SlotMatrix:
         through the mirror, and a slot whose neighbour lies across a mirror
         plane (its column is now the row itself) added into the diagonal
         and zeroed, as `solver._coarsen` merges an aggregate's own columns.
+        Its values and columns are slot-major and C-contiguous, as A's are.
         For an even x, A x on the kept rows is this matrix times x on them.
         Over no axes it is A itself; A keeps the last fold it built."""
         if not axes:
             return self
         if self._folded is None or self._folded.table.axes != axes:
             table = MirrorFold(self.table, axes)
-            values = self.values[:, table.rows]
+            values = self.values.take(table.rows, axis=1)
             mid = values.shape[0] // 2
             own = np.arange(table.rows.size, dtype=np.int32)
             for slot, columns in enumerate(table.columns):
@@ -181,11 +182,11 @@ class SparseSystem:
     """Assembled linear system A u = b on the active nodes (A ~ L_a).
 
     The system owns the Dirichlet couplings coeff * g(point) of its cut
-    arms: bc_rows, bc_coeffs and bc_points, ordered by (node, axis, minus
-    arm before plus arm), the order bc_vector sums them in.  `with_data`
-    reuses A and the couplings for other data; no matrix is cached.  A's
-    columns, bc_rows and bc_points are read-only `NeighbourTable`
-    arrays."""
+    arms: `bc_coeffs`, which depend on a, one per cut arm of A's
+    `NeighbourTable`, whose `bc_rows` and `bc_points` give each arm's row
+    and cut point, in the order bc_vector sums them (node, axis, minus arm
+    before plus arm).  `with_data` reuses A and the couplings for other
+    data; no matrix is cached."""
 
     A: SlotMatrix
     b: np.ndarray
@@ -193,9 +194,7 @@ class SparseSystem:
     grid: object
     params: object
     dirichlet: object
-    bc_rows: np.ndarray
     bc_coeffs: np.ndarray
-    bc_points: np.ndarray
 
     @property
     def n(self):
@@ -203,18 +202,19 @@ class SparseSystem:
 
     def bc_vector(self, dirichlet):
         """Accumulated boundary contributions coeff * g(cut point) per row."""
+        table = self.A.table
         out = np.zeros(self.A.shape[0])
-        if self.bc_rows.size == 0:
+        if table.bc_rows.size == 0:
             return out
         if dirichlet is None:
             raise MissingBoundaryData("stencil touches the boundary but no Dirichlet data given")
-        np.add.at(out, self.bc_rows, self.bc_coeffs * on_points(dirichlet, self.bc_points))
+        np.add.at(out, table.bc_rows, self.bc_coeffs * on_points(dirichlet, table.bc_points))
         return out
 
     def with_data(self, rhs, dirichlet):
         """The system for L_a u = rhs with Dirichlet data `dirichlet` on the
         same A and couplings; each is a constant or a callable on points."""
-        inside = grid_geometry(self.domain, self.grid).inside
+        inside = self.A.table.inside
         rhs = on_points(rhs, self.grid.points_at(inside)) if callable(rhs) else float(rhs)
         b = rhs - self.bc_vector(dirichlet)
         return dataclasses.replace(self, b=b, dirichlet=dirichlet)
@@ -231,7 +231,7 @@ def _build(domain, grid, params) -> SparseSystem:
     arms and the r = 0 fold) are zeroed once bc_coeffs holds the cut arms'."""
     table = grid_geometry(domain, grid).neighbours
     dim = grid.k + 1
-    h = grid.h_r
+    h = grid.h
     a = params.a
     m_r = r_cell_measure(grid, params)
     face = (np.arange(grid.n_r + 1) * h) ** a
@@ -241,15 +241,15 @@ def _build(domain, grid, params) -> SparseSystem:
         c_plus = face[1:] / (h * m_r)
         c_minus = face[:-1] / (h * m_r)
     c_minus[0] = 0.0  # zero weighted flux through r = 0 (reflection)
-    hy2 = grid.h_y**2
+    h2 = h**2
 
     # interior rows: flux form, written on every row and overwritten on the near rows
     r_i = table.row_r
     vals = np.empty(table.columns.shape)
     vals[R_AXIS] = c_minus[r_i]
     vals[-1] = c_plus[r_i]
-    vals[dim] = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / hy2
-    vals[1:dim] = vals[dim + 1:-1] = 1.0 / hy2
+    vals[dim] = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / h2
+    vals[1:dim] = vals[dim + 1:-1] = 1.0 / h2
 
     # near-boundary rows: nondivergence Shortley-Weller.  The diagonal sums
     # c_0 axis by axis, the r = 0 ghost right after axis 0's c_0; a cut
@@ -272,8 +272,7 @@ def _build(domain, grid, params) -> SparseSystem:
     vals[table.bc_slots, table.bc_rows] = vals[R_AXIS, r_i == 0] = 0.0
     return SparseSystem(
         A=SlotMatrix(vals, table), b=None, domain=domain, grid=grid, params=params,
-        dirichlet=None, bc_rows=table.bc_rows, bc_coeffs=bc_coeffs,
-        bc_points=table.bc_points,
+        dirichlet=None, bc_coeffs=bc_coeffs,
     )
 
 
@@ -282,10 +281,10 @@ def assemble_torsion_system(domain, grid, params, rhs=-1.0, dirichlet=0.0) -> Sp
     points; rhs and dirichlet are each a constant or a callable on points.
     A approximates L_a itself (diagonal strictly negative), so the torsion
     problem is rhs = -1 with dirichlet = 0."""
-    min_axis = min(domain.r_extent, *domain.y_halfwidth)
-    if min_axis / grid.h_r < 4.0 - 1e-12:
+    min_axis = min(domain.extents)
+    if min_axis / grid.h < 4.0 - 1e-12:
         raise GridTooCoarse(
-            f"smallest semi-axis {min_axis} is under 4 cells at h={grid.h_r}; refine the grid"
+            f"smallest semi-axis {min_axis} is under 4 cells at h={grid.h}; refine the grid"
         )
     return _build(domain, grid, params).with_data(rhs, dirichlet)
 
@@ -304,8 +303,9 @@ def apply_operator(field, params, rows_mask=None):
     the mask hold NaN."""
     system = assemble_torsion_system(field.domain, field.grid, params)
     out = system.A @ field.active
-    rows = None if rows_mask is None else rows_mask[field.geometry.inside]
-    if system.bc_rows.size and (rows is None or rows[system.bc_rows].any()):
+    table = system.A.table
+    rows = None if rows_mask is None else rows_mask[table.inside]
+    if table.bc_rows.size and (rows is None or rows[table.bc_rows].any()):
         out = out + system.bc_vector(field.boundary_values)  # raises without Dirichlet data
     if rows is not None:
         out[~rows] = np.nan
@@ -339,7 +339,7 @@ def _normal_gradient(field, gradient, samples=None, count=20000, depth=None):
         samples = boundary_samples(domain, count)
     # default depth keeps both probe points inside fully interior
     # interpolation cells even where the boundary curves across the grid
-    d = depth if depth is not None else 2.0 * field.grid.h_r
+    d = depth if depth is not None else 2.0 * field.grid.h
     n = samples.points.shape[0]
     probes = np.concatenate([samples.points - d * samples.normals,
                              samples.points - 2.0 * d * samples.normals])
@@ -374,7 +374,7 @@ def normal_derivative_at_axis(field):
     r1, r2 = up[r0], up[up[r0]]
     ok = (r1 != r0) & (r2 != r1)
     u0, u1, u2 = (field.active[r[ok]] for r in (r0, r1, r2))
-    vals = (-2.0 * u0 + 3.0 * u1 - u2) / grid.h_r
+    vals = (-2.0 * u0 + 3.0 * u1 - u2) / grid.h
     return grid.points_of(layer[ok])[:, 1:], vals
 
 
@@ -387,8 +387,9 @@ CSV_BLOCK_ROWS = 2048  # least rows per block of whole r layers; bounds the text
 
 
 def _mirror_classes(values, table):
-    """The table's `classes` over its `mirror_axes` on which `values`
-    equals its mirror image bit for bit (so -0.0 and 0.0 stay apart)."""
+    """The table's `classes`, (rows, unfold), over its `mirror_axes` on
+    which `values` equals its mirror image bit for bit (so -0.0 and 0.0
+    stay apart)."""
     bits = values.view(np.int64)
     return table.classes(tuple(axis for axis in table.mirror_axes
                                if np.array_equal(bits, bits.take(table.mirror(axis)))))
@@ -399,15 +400,16 @@ def field_to_csv(field, path):
 
     Each lattice coordinate is formatted once per axis (`%.17g`) and a
     row's coordinates are gathered from that text by its node index.  `u`
-    is formatted once per mirror class (`_mirror_classes`), and each row
-    gathers its class's text.  A mirror maps y axes only, so a class lies
-    in one r layer, and the rows are written in blocks of whole r layers,
-    at least `CSV_BLOCK_ROWS` rows or one layer if that is larger.  The
-    rows come in C order of the lattice, the order of `field.active`."""
+    is formatted once per mirror class (`_mirror_classes`): a block
+    formats its classes' representatives, and each row gathers its class's
+    text through `unfold`.  A mirror maps y axes only, so a class lies in
+    one r layer, and the rows are written in blocks of whole r layers, at
+    least `CSV_BLOCK_ROWS` rows or one layer if that is larger.  The rows
+    come in C order of the lattice, the order of `field.active`."""
     grid = field.grid
     geo = field.geometry
     values = field.active
-    rep = _mirror_classes(values, geo.neighbours)
+    rows, unfold = _mirror_classes(values, geo.neighbours)
     # rows run r slowest: the rows of r layers 0..i end at ends[i]
     ends = np.cumsum(np.count_nonzero(geo.inside.reshape(grid.n_r, -1), axis=1))
     axis_text = [np.array(["%.17g," % c for c in axis.tolist()], dtype=object)
@@ -421,15 +423,17 @@ def field_to_csv(field, path):
             # it holds CSV_BLOCK_ROWS rows, or the last layer
             top = min(int(np.searchsorted(ends, lo + CSV_BLOCK_ROWS)), ends.size - 1)
             hi = int(ends[top])
-            own = rep[lo:hi] == np.arange(lo, hi)
-            u = values[lo:hi][own].tolist()
+            # a representative is the largest row of its class, so the
+            # block's first class is found by row, not as unfold[lo]
+            first, last = np.searchsorted(rows, (lo, hi))
+            u = values[rows[first:last]].tolist()
             text = np.array((("%.17g\n" * len(u)) % tuple(u)).splitlines(True), dtype=object)
             index = np.nonzero(geo.inside[layer:top + 1])
             block = np.empty((hi - lo, grid.k + 2), dtype=object)
             block[:, 0] = axis_text[0][layer + index[0]]
             for col in range(1, grid.k + 1):
                 block[:, col] = axis_text[col][index[col]]
-            block[:, -1] = text[(np.cumsum(own) - 1)[rep[lo:hi] - lo]]
+            block[:, -1] = text[unfold[lo:hi] - first]
             fh.write("".join(block.ravel().tolist()))
             lo, layer = hi, top + 1
 
@@ -454,11 +458,10 @@ def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
     if rows.shape[1] != ncol:
         raise ValueError(f"expected {ncol} columns, found {rows.shape[1]}")
     coords = rows[:, :-1]
-    origin = np.array([0.5 * grid.h_r, *grid.y_start])
-    step = np.array([grid.h_r] + [grid.h_y] * grid.k)
-    index = np.rint((coords - origin) / step).astype(np.int64)
+    origin = np.array([0.5 * grid.h, *grid.y_start])
+    index = np.rint((coords - origin) / grid.h).astype(np.int64)
     bad = (np.any((index < 0) | (index >= np.asarray(grid.shape)), axis=1)
-           | np.any(np.abs(origin + index * step - coords) > 1e-9 * grid.h_r, axis=1))
+           | np.any(np.abs(origin + index * grid.h - coords) > 1e-9 * grid.h, axis=1))
     if bad.any():
         raise ValueError(f"{int(bad.sum())} rows do not land on a grid node, "
                          f"first at {coords[bad][0].tolist()}")

@@ -607,7 +607,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
         else:
             try:
                 # outward normal on the wall is -e_r
-                extras["sigma0_flux"] = -float(np.sum(axis_dr())) * grid.h_y ** grid.k
+                extras["sigma0_flux"] = -float(np.sum(axis_dr())) * grid.h ** grid.k
             except GridTooCoarse:
                 extras["sigma0_flux"] = math.nan
         extras["center_value"] = float(u.interpolate((0.0, *domain.y_center)))
@@ -615,7 +615,7 @@ def run_experiment(domain, params: WeinsteinParams, h: float,
     return ExperimentReport(
         domain=domain.descriptor(),
         params={"a": params.a, "k": params.k, "dim_eff": params.dim_eff},
-        grid={"h": h, "h_r": grid.h_r, "h_y": grid.h_y,
+        grid={"h": h, "h_r": grid.h, "h_y": grid.h,
               "n_r": grid.n_r, "n_y": list(grid.n_y)},
         solver=solve_report,
         checks=results,

@@ -243,9 +243,10 @@ def solve(system, tol=1e-10, max_iter=20000):
         atol = tol * _norm(b_fold)
         x, iterations, broke_down = _bicgstab(folded, b_fold, precond,
                                               np.zeros(b_fold.size), atol, max_iter)
-        if broke_down:  # restart once from the current iterate
+        if broke_down:  # restart once from the current iterate, within max_iter in all
             x0 = x if np.all(np.isfinite(x)) else np.zeros(b_fold.size)
-            x, more, broke_down = _bicgstab(folded, b_fold, precond, x0, atol, max_iter)
+            x, more, broke_down = _bicgstab(folded, b_fold, precond, x0, atol,
+                                            max_iter - iterations)
             iterations += more
         x = x[folded.table.unfold]
         residual = _norm(A @ x - b) / b_norm  # certified on the original system

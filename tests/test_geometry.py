@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from weinstein.differential import deep_mask
 from weinstein.errors import EmptyDomain, UnsupportedShape
+from weinstein.field import ScalarField
 from weinstein.params import WeinsteinParams
 from weinstein.geometry import (
     MARGIN_CELLS,
@@ -307,7 +309,7 @@ _CUT_DOMAINS = {
 
 
 def _semi(dom):
-    return np.array([dom.r_extent, *dom.y_halfwidth])
+    return np.array(dom.extents)
 
 
 @pytest.mark.parametrize("name", list(_CUT_DOMAINS))
@@ -493,14 +495,25 @@ def test_a_lattice_not_mirrored_about_the_centre_does_not_fold():
 def test_empty_domain_raises():
     dom = Ball(radius=0.05, center=(0.0,))
     with pytest.raises(EmptyDomain):
-        grid = StaggeredGrid(h_r=0.2, h_y=0.2, n_r=4, n_y=(4,), y_start=(-0.3,))
+        grid = StaggeredGrid(h=0.2, n_r=4, n_y=(4,), y_start=(-0.3,))
         grid_geometry(dom, grid)
 
 
-def test_unequal_lattice_steps_are_rejected():
-    # the cell fractions and the cut band measure with one step
-    with pytest.raises(ValueError, match="h_r = 0.05 and h_y = 0.1"):
-        StaggeredGrid(h_r=0.05, h_y=0.1, n_r=24, n_y=(24,), y_start=(-1.15,))
+@pytest.mark.parametrize("k,h", [(1, 1 / 16), (2, 1 / 8), (3, 1 / 6)])
+def test_lattice_views_are_read_only_scatters_of_the_rows(k, h):
+    domain = Ellipsoid(semi_axes=(1.0, 1.3, 0.8, 0.9)[:k + 1], center=(0.05,) * k)
+    grid = StaggeredGrid.from_domain(domain, h)
+    geo = grid_geometry(domain, grid)
+    table = geo.neighbours
+    n = table.row_r.size
+    u = ScalarField(grid=grid, domain=domain, active=np.linspace(-1.0, 1.0, n))
+    near = np.zeros(n, dtype=bool)
+    near[table.near] = True
+    for view, rows, fill in ((u.values, u.active, np.nan), (geo.near, near, False),
+                             (deep_mask(geo), table.deep, False)):
+        assert view.shape == grid.shape and not view.flags.writeable
+        assert view.dtype == rows.dtype and _bitwise_equal(view[geo.inside], rows)
+        assert _bitwise_equal(view[~geo.inside], np.full(view.size - n, fill, rows.dtype))
 
 
 @pytest.mark.parametrize("axis,edge", [(0, -1), (1, 0), (1, -1), (2, 0), (2, -1)])

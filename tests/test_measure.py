@@ -92,7 +92,7 @@ def test_ball_volume_scales_with_radius_power():
 
 
 def test_r_cell_measure_matches_per_cell_quadrature():
-    grid = StaggeredGrid(h_r=0.1, h_y=0.1, n_r=6, n_y=(4,), y_start=(-0.2,))
+    grid = StaggeredGrid(h=0.1, n_r=6, n_y=(4,), y_start=(-0.2,))
     params = WeinsteinParams(a=0.5, k=1)
     m = r_cell_measure(grid, params)
     for i in range(6):

@@ -429,9 +429,9 @@ def test_one_table_gives_the_reference_stencil_at_every_a(k, h, shift):
         system = assemble_torsion_system(domain, grid, params, dirichlet=_dirichlet)
         for attr in ("indptr", "indices", "data"):
             assert _bitwise_equal(getattr(system.A, attr), getattr(A, attr)), (a, attr)
-        assert _bitwise_equal(system.bc_rows, bc_rows)
+        assert _bitwise_equal(system.A.table.bc_rows, bc_rows)
         assert _bitwise_equal(system.bc_coeffs, bc_coeffs)
-        assert _bitwise_equal(system.bc_points, bc_points)
+        assert _bitwise_equal(system.A.table.bc_points, bc_points)
         want = np.zeros(system.n)
         np.add.at(want, bc_rows, bc_coeffs * _dirichlet(bc_points))
         assert _bitwise_equal(system.b, -1.0 - want)

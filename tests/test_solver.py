@@ -294,6 +294,32 @@ def test_one_fold_is_built_per_matrix_and_freed_with_it(monkeypatch, k, h):
         gc.enable()
 
 
+@pytest.mark.parametrize("k,h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
+def test_a_fold_is_laid_out_slot_major_like_a(k, h):
+    system = _ball_system(h=h, k=k)
+    folded = system.A.fold(tuple(range(1, k + 1)))
+    for got, like in ((folded.values, system.A.values),
+                      (folded.table.columns, system.A.table.columns)):
+        assert got.shape == (like.shape[0], folded.shape[0])
+        assert got.flags.c_contiguous and like.flags.c_contiguous
+
+
+def test_max_iter_caps_a_solve_that_restarts(monkeypatch):
+    caps = []
+
+    def breaks_down_once(A, b, precond, x, atol, max_iter):
+        caps.append(max_iter)
+        if len(caps) == 1:
+            return x, max_iter - 1, True  # a breakdown one iteration short of the cap
+        return x, max_iter, False  # the restart runs out of iterations
+
+    monkeypatch.setattr(solver_module, "_bicgstab", breaks_down_once)
+    with pytest.raises(NoConvergence) as err:
+        solve(_ball_system(h=1.0 / 8, k=2), max_iter=50)
+    assert caps == [50, 1]
+    assert err.value.report.iterations == 50
+
+
 def _full_solve(system, tol):
     """x of `_bicgstab` on the whole system, with the preconditioner solve
     builds for an unfolded matrix of its k."""
