@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and one
-# solve through the CLI, a check that a sweep point and a standalone run
+# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and two
+# solves through the CLI, a check that a sweep point and a standalone run
 # write the same u.csv bytes, then a k = 3 verify run twice, whose reports
 # must be equal.  Run from the repository root once scipy is uninstalled;
 # every file it writes lies under $RUNNER_TEMP.
@@ -25,7 +25,7 @@ cat > "$RUNNER_TEMP/verify_box.json" <<JSON
 JSON
 PYTHONPATH=src python -m weinstein verify --config "$RUNNER_TEMP/verify_box.json"
 
-# k = 2 points: the Jacobi solve on the folded system
+# k = 2 points: the l1-scaled solve on the folded system
 cat > "$RUNNER_TEMP/sweep.json" <<JSON
 {"params": {"a": 1.0, "k": 2},
  "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
@@ -42,6 +42,15 @@ cat > "$RUNNER_TEMP/solve.json" <<JSON
 JSON
 PYTHONPATH=src python -m weinstein solve --config "$RUNNER_TEMP/solve.json"
 cmp "$RUNNER_TEMP/solve/u.csv" "$RUNNER_TEMP/sweep/run_001/u.csv"
+
+# a = 40: beside the axis the rows are not diagonally dominant, and the
+# solve must still converge
+cat > "$RUNNER_TEMP/solve_a40.json" <<JSON
+{"params": {"a": 40.0, "k": 2},
+ "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
+ "grid": {"h": 0.0625}, "output_dir": "$RUNNER_TEMP/solve_a40"}
+JSON
+PYTHONPATH=src python -m weinstein solve --config "$RUNNER_TEMP/solve_a40.json"
 
 # k = 3: the full battery on the unit ball, run twice into one directory;
 # the two reports must be the same bytes

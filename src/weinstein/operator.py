@@ -103,9 +103,6 @@ class SlotMatrix:
     def __matmul__(self, x):
         return slot_product(self.values, self.table.columns, x)
 
-    def diagonal(self):
-        return self.values[self.values.shape[0] // 2].copy()
-
     def even_axes(self, b, tol):
         """The table's `mirror_axes` j whose mirror y_j -> 2 c_j - y_j maps
         A and b to themselves, up to tol relative to the norms of `values`
@@ -459,9 +456,12 @@ def field_from_csv(path, grid, domain, boundary_values=None, parity="even"):
         raise ValueError(f"expected {ncol} columns, found {rows.shape[1]}")
     coords = rows[:, :-1]
     origin = np.array([0.5 * grid.h, *grid.y_start])
-    index = np.rint((coords - origin) / grid.h).astype(np.int64)
-    bad = (np.any((index < 0) | (index >= np.asarray(grid.shape)), axis=1)
-           | np.any(np.abs(origin + index * grid.h - coords) > 1e-9 * grid.h, axis=1))
+    # rows outside the lattice's cells (nan and inf among them) are marked
+    # before the cast to int, which would warn on them; their index is 0
+    off = ~np.all((coords >= origin - 0.5 * grid.h)
+                  & (coords < origin + (np.asarray(grid.shape) - 0.5) * grid.h), axis=1)
+    index = np.rint(np.where(off[:, None], 0.0, coords - origin) / grid.h).astype(np.int64)
+    bad = off | np.any(np.abs(origin + index * grid.h - coords) > 1e-9 * grid.h, axis=1)
     if bad.any():
         raise ValueError(f"{int(bad.sum())} rows do not land on a grid node, "
                          f"first at {coords[bad][0].tolist()}")

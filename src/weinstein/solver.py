@@ -16,19 +16,23 @@ that are not even, and a matrix built by hand that is not, solve
 unfolded.  A keeps its fold, so a second solve on the same A over the
 same axes, such as the calibration solve of `p_constancy` through
 `SparseSystem.with_data`, reuses it at every k.  The figures below are
-on folded systems, under one BLAS thread.  The preconditioner depends on
-k only:
+on folded systems, under one BLAS thread.  Both preconditioners scale
+rows by the l1-Jacobi scale m = -sum_j |a_ij| (Baker, Falgout, Kolev &
+Yang, SIAM J. Sci. Comput. 33(5) (2011)) and differ in k only:
 
 - k = 1: an aggregation V-cycle (plain aggregation, Braess, Computing 55
-  (1995); l1-Jacobi smoother, Baker, Falgout, Kolev & Yang, SIAM J. Sci.
-  Comput. 33(5) (2011)).  On the (1, 2) ellipsoid at a = 1 it takes 12,
-  13 and 17 iterations at h = 1/48, 1/96 and 1/192, where Jacobi's count
-  doubles with each halving of h (205, 395 and 920).  The levels are
-  built once per matrix and kept on the fold (`SlotMatrix.levels`); at
-  h = 1/96 fold and levels hold 1.6 MB beside A.
-- k >= 2: Jacobi.  Those solves take tens of iterations, and the V-cycle
-  costs more than it saves (k = 2, h = 1/20: 4 + 17 ms against 15 ms;
-  k = 3, h = 1/10: 2 + 16 ms against 8 ms).
+  (1995)) smoothed by x += (b - A x) / m.  On the (1, 2) ellipsoid at
+  a = 1 it takes 12, 13 and 17 iterations at h = 1/48, 1/96 and 1/192,
+  where a diagonal scale's count doubles with each halving of h (205,
+  395 and 920).  The levels are built once per matrix and kept on the
+  fold (`SlotMatrix.levels`); at h = 1/96 fold and levels hold 1.6 MB
+  beside A.
+- k >= 2: v -> v / m alone.  Those solves take tens of iterations, and
+  the V-cycle costs more than it saves (k = 2, h = 1/20: 2 + 8 ms
+  against 8 ms; k = 3, h = 1/10: 1 + 8 ms against 5 ms).  At large a
+  the term (a/r) u_r costs the rows beside the axis their diagonal
+  dominance (absolute row sum 5.9 times the diagonal at a = 40, k = 2,
+  h = 1/16), and a diagonal scale overflows to NaN there.
 
 Every level of the V-cycle keeps its operator in the slot layout of A
 (see `operator.SlotMatrix`), so the solver needs numpy alone.  There is
@@ -111,23 +115,12 @@ def _bicgstab(A, b, precond, x, atol, max_iter):
     return x, max_iter, False
 
 
-def _guarded(scale):
-    """Row scales with the zero and NaN ones replaced by -1; -1 here is 1
-    on -A: the run is that of -A u = -b."""
-    return np.where(np.abs(scale) > 0, scale, -1.0)
-
-
-def _jacobi(A):
-    """Jacobi preconditioner v -> v / diag(A)."""
-    d = _guarded(A.diagonal())
-    return lambda v: v / d
-
-
 def _l1_scale(values):
     """-sum_j |a_ij| for each row of a matrix in slot layout, summed slot by
-    slot (the order a CSR product of |A| with ones sums in), guarded as the
-    Jacobi diagonal is."""
-    return _guarded(-np.abs(values).sum(axis=0))
+    slot (the order a CSR product of |A| with ones sums in); a zero or NaN
+    sum becomes -1, which is 1 on -A: the run is that of -A u = -b."""
+    m = -np.abs(values).sum(axis=0)
+    return np.where(np.abs(m) > 0, m, -1.0)
 
 
 def _coarsen(values, columns, agg, n_coarse):
@@ -177,7 +170,8 @@ def _hierarchy(A):
 def _preconditioned(system, tol):
     """The matrix a solve of `system` to tol iterates on, A folded over
     the axes on which A and b are even (A itself over none), and its
-    preconditioner: the V-cycle at k = 1, Jacobi at k >= 2.
+    preconditioner: the V-cycle at k = 1, v -> v / m at k >= 2, with m the
+    l1 scale `_l1_scale` that the V-cycle's finest level smooths with.
 
     The aggregation V-cycle for the folded matrix F as v -> ~F^-1 v: each
     coarse unknown is one 2 x ... x 2 block of F's lattice nodes (index
@@ -195,7 +189,8 @@ def _preconditioned(system, tol):
     """
     folded = system.A.fold(system.A.even_axes(system.b, tol))
     if system.grid.k > 1:
-        return folded, _jacobi(folded)
+        m = _l1_scale(folded.values)
+        return folded, lambda v: v / m
     if folded.levels is None:
         folded.levels = _hierarchy(folded)
     levels, coarsest = folded.levels

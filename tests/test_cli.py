@@ -131,16 +131,17 @@ def test_solver_budget_exhaustion_exits_three_but_keeps_artifacts(tmp_path):
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, command):
-    # Jacobi-BiCGStab (k >= 2) overflows to NaN on this system; no check may run on it
+    # the cell measures overflow at this a, so the field is NaN after one
+    # iteration; no check may run on it
     cfg = {
-        "params": {"a": 40.0, "k": 2},
+        "params": {"a": 300.0, "k": 2},
         "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
         "grid": {"h": 1 / 16},
         "output_dir": str(tmp_path / "out"),
     }
     run_dir = tmp_path / "out"
     if command == "sweep":
-        cfg["sweep"] = {"path": "params.a", "values": [40.0]}
+        cfg["sweep"] = {"path": "params.a", "values": [300.0]}
         run_dir = run_dir / "run_000"
     assert _run([command, "--config", _write(tmp_path, cfg)]) == 3
     report = json.loads((run_dir / "report.json").read_text(),
@@ -156,7 +157,8 @@ def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, co
     # the cause is named on stderr
     iterations = report["solver"]["iterations"]
     assert (f"solver failure: bicgstab stopped at relative residual nan after "
-            f"{iterations} iterations (target 1.0e-10)\n") in capsys.readouterr().err
+            f"{iterations} iterations (target 1.0e-10): the assembled matrix holds "
+            f"non-finite entries\n") in capsys.readouterr().err
 
 
 # the cell measures overflow at this a, leaving NaN entries in A; the

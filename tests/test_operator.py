@@ -12,6 +12,7 @@ reference stencil, and A's CSR views are read from the table's columns.
 import gc
 import json
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -360,6 +361,21 @@ def test_field_csv_rejects_rows_off_the_grid(tmp_path):
     path.write_text(f"r,y1,u\n{r!r},{grid.y_start[0]!r},1.0\n")
     with pytest.raises(ValueError, match="grid node"):
         field_from_csv(path, grid, dom)
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "1e300"])
+def test_field_csv_rejects_a_coordinate_off_every_node_without_a_warning(tmp_path, r):
+    params = WeinsteinParams(a=1.0, k=1)
+    u, _ = _torsion(Ball(1.0), params, 1.0 / 4)
+    path = tmp_path / "u.csv"
+    field_to_csv(u, path)
+    y = float(u.grid.y_nodes(0)[0])
+    path.write_text(path.read_text() + f"{r},{y!r},0.5\n")
+    message = f"1 rows do not land on a grid node, first at {[float(r), y]}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may come before the error
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field_from_csv(path, u.grid, u.domain)
 
 
 def test_field_csv_rejects_a_node_named_twice(tmp_path):

@@ -2,11 +2,11 @@
 and the failure contract (best iterate always attached).
 
 `_scipy_reference` is the path `solve` used to take through scipy:
-`bicgstab` on a scipy copy of -A with the Jacobi preconditioner as a
-`LinearOperator` and the iterations counted by a callback.  The
-written-out loop must reproduce its solutions bit for bit, with the same
-iteration counts, under Jacobi and under the k = 1 V-cycle.  scipy is a
-test reference only: the package runs on numpy alone.
+`bicgstab` on a scipy copy of -A with a row scale as a `LinearOperator`
+and the iterations counted by a callback.  The written-out loop must
+reproduce its solutions bit for bit, with the same iteration counts,
+under the l1 scale of the k >= 2 solves and under the k = 1 V-cycle.
+scipy is a test reference only: the package runs on numpy alone.
 """
 
 import dataclasses
@@ -76,7 +76,7 @@ def test_symmetric_diagonal_system_solves_by_bicgstab():
     system = _diagonal_system()
     u, report = solve(system, tol=1e-12)
     assert report.method == "bicgstab"
-    assert report.iterations <= 2  # Jacobi and the V-cycle solve -I exactly
+    assert report.iterations <= 2  # the V-cycle solves -I exactly
     assert report.converged
     assert np.allclose(u.active, -system.b, atol=1e-14)
 
@@ -145,13 +145,20 @@ def test_no_convergence_carries_best_iterate_and_report():
     assert np.all(np.isfinite(exc.best.values[geo.inside]))
 
 
+def _l1(A):
+    """The k >= 2 preconditioner of A, v -> v / m for m = `_l1_scale(A.values)`."""
+    m = solver_module._l1_scale(A.values)
+    return lambda v: v / m
+
+
 def _scipy_reference(A, b, precond=None, tol=1e-10, max_iter=20000):
-    """(solution, iterations) of scipy's bicgstab on -A x = -b,
-    Jacobi-preconditioned, or preconditioned by v -> precond(-v) given a
-    preconditioner of A."""
+    """(solution, iterations) of scipy's bicgstab on -A x = -b, scaled by
+    the l1 row sums of -A (that is, by -m for m = `_l1_scale(A.values)`,
+    with 1 for a zero or NaN sum), or preconditioned by v -> precond(-v)
+    given a preconditioner of A."""
     A_neg = -_csr(A)
     if precond is None:
-        d = A_neg.diagonal()
+        d = abs(A_neg) @ np.ones(A_neg.shape[0])
         d = np.where(np.abs(d) > 0, d, 1.0)
         M = spla.LinearOperator(A_neg.shape, matvec=lambda x: x / d)
     else:
@@ -190,12 +197,12 @@ def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
     system = _reference_system(domain, h)
     want, iterations = _scipy_reference(system.A, system.b)
     got, its, broke_down = solver_module._bicgstab(
-        system.A, system.b, solver_module._jacobi(system.A), np.zeros(system.n),
+        system.A, system.b, _l1(system.A), np.zeros(system.n),
         1e-10 * np.linalg.norm(system.b), 20000)
     assert not broke_down
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert its == iterations
-    if system.grid.k > 1:  # solve keeps Jacobi there, on the folded system
+    if system.grid.k > 1:  # solve scales by m alone there, on the folded system
         folded, _ = solver_module._preconditioned(system, 1e-10)
         assert folded.shape[0] * 2 ** system.grid.k == system.n
         want, iterations = _scipy_reference(folded, system.b[folded.table.rows])
@@ -219,8 +226,9 @@ def test_vcycle_loop_reproduces_scipy_bit_for_bit(domain, h):
 
 
 def test_breakdown_raises_after_one_restart(monkeypatch):
-    # skew 2x2 blocks with a zero diagonal: rtilde . v vanishes exactly at once
-    # under Jacobi, which k = 2 keeps (the k = 1 V-cycle inverts them exactly)
+    # skew 2x2 blocks with a zero diagonal: every l1 row sum is 1, and under
+    # that scale, which k = 2 uses, rtilde . v vanishes exactly at once (the
+    # k = 1 V-cycle inverts the blocks exactly)
     sys0 = _ball_system(h=1.0 / 8, k=2)
     n = sys0.n
     assert n % 2 == 0
@@ -252,13 +260,40 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
 
 
 def test_vcycle_solves_the_large_a_ball():
-    # Jacobi-BiCGStab overflows to NaN here
+    # BiCGStab scaled by the diagonal overflows to NaN here
     system = _ball_system(h=1.0 / 32, a=20.0)
     u, report = solve(system)
     assert report.converged
     u_exact, _ = system.domain.exact_torsion(system.params)
     inside = u.geometry.inside
     assert np.max(np.abs(u.values[inside] - u_exact(u.grid.node_points()[inside]))) <= 1e-9
+
+
+@pytest.mark.parametrize("k,a,h", [(2, 40.0, 1 / 16), (2, 80.0, 1 / 16), (3, 200.0, 1 / 10)])
+def test_large_a_balls_solve_at_k_two_and_three(k, a, h):
+    # beside the axis these rows are not diagonally dominant (at a = 40, k = 2
+    # an absolute row sum is 5.9 times its diagonal), and BiCGStab scaled by
+    # the diagonal overflows to NaN or breaks down twice; the l1 scale solves
+    system = _ball_system(h=h, a=a, k=k)
+    u, report = solve(system)
+    assert report.converged
+    x = u.active
+    res = float(np.linalg.norm(system.A @ x - system.b) / np.linalg.norm(system.b))
+    assert report.final_relative_residual == res
+    assert res <= 10.0 * 1e-10
+
+
+@pytest.mark.parametrize("k,h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
+def test_both_preconditioners_read_one_l1_scale(k, h):
+    system = _ball_system(h=h, k=k)
+    folded, precond = solver_module._preconditioned(system, 1e-10)
+    m = solver_module._l1_scale(folded.values)
+    if k == 1:  # the V-cycle's finest level smooths with m
+        levels, _ = folded.levels
+        assert levels[0][2].tobytes() == m.tobytes()
+    else:  # v -> v / m
+        v = np.random.default_rng(k).standard_normal(folded.shape[0])
+        assert precond(v).tobytes() == (v / m).tobytes()
 
 
 @pytest.mark.parametrize("k,h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
@@ -281,7 +316,7 @@ def test_one_fold_is_built_per_matrix_and_freed_with_it(monkeypatch, k, h):
         levels, _ = folded.levels
         assert levels[0][0] is folded.values and levels[0][1] is folded.table.columns
         del levels
-    else:  # Jacobi
+    else:  # the l1 scale alone
         assert folded.levels is None
     refs = [weakref.ref(obj) for obj in (system.A, folded, folded.table)]
     del built, folded
@@ -328,7 +363,7 @@ def _full_solve(system, tol):
         levels, coarsest = solver_module._hierarchy(A)
         precond = lambda v: solver_module._cycle(levels, coarsest, v)  # noqa: E731
     else:
-        precond = solver_module._jacobi(A)
+        precond = _l1(A)
     x, _, broke_down = solver_module._bicgstab(
         A, system.b, precond, np.zeros(system.n), tol * np.linalg.norm(system.b), 20000)
     assert not broke_down
@@ -435,7 +470,7 @@ def test_vcycle_iterations_barely_grow_with_refinement():
 
 def test_runs_import_no_scipy(tmp_path):
     # a full k = 1 battery (the V-cycle path) and a k = 2 sweep point (the
-    # Jacobi path) in a fresh interpreter leave no scipy module loaded
+    # l1-scale path) in a fresh interpreter leave no scipy module loaded
     verify = {"params": {"a": 1.0, "k": 1},
               "domain": {"type": "ellipsoid", "semi_axes": [1.0, 2.0], "center": [0.01]},
               "grid": {"h": 1 / 16}, "output_dir": str(tmp_path / "verify")}

@@ -260,9 +260,10 @@ def test_slot_product_matches_the_csr_product_bitwise(name):
     for x in (rng.standard_normal(system.n), rng.uniform(0.5, 1.5, system.n), system.b):
         assert _bitwise_equal(A @ x, csr @ x)
     abs_csr = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    row_sums = -(abs_csr @ np.ones(system.n))
     assert _bitwise_equal(solver._l1_scale(A.values),
-                          solver._guarded(-(abs_csr @ np.ones(system.n))))
-    assert _bitwise_equal(A.diagonal(), csr.diagonal())
+                          np.where(np.abs(row_sums) > 0, row_sums, -1.0))
+    assert _bitwise_equal(A.values[A.values.shape[0] // 2], csr.diagonal())
     assert A.nnz == csr.nnz
 
 
