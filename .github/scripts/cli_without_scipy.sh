@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and two
+# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and four
 # solves through the CLI, a check that a sweep point and a standalone run
 # write the same u.csv bytes, then a k = 3 verify run twice, whose reports
 # must be equal.  Run from the repository root once scipy is uninstalled;
@@ -43,14 +43,22 @@ JSON
 PYTHONPATH=src python -m weinstein solve --config "$RUNNER_TEMP/solve.json"
 cmp "$RUNNER_TEMP/solve/u.csv" "$RUNNER_TEMP/sweep/run_001/u.csv"
 
-# a = 40: beside the axis the rows are not diagonally dominant, and the
-# solve must still converge
+# large a: the weight r^a varies by orders of magnitude across the cells
+# beside the axis, and the solves must still converge (a = 200 at
+# h = 1/32 ran 20,000 iterations for nothing while the cut rows wrote
+# (a/r) u_r in non-divergence form)
 cat > "$RUNNER_TEMP/solve_a40.json" <<JSON
 {"params": {"a": 40.0, "k": 2},
  "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
  "grid": {"h": 0.0625}, "output_dir": "$RUNNER_TEMP/solve_a40"}
 JSON
 PYTHONPATH=src python -m weinstein solve --config "$RUNNER_TEMP/solve_a40.json"
+cat > "$RUNNER_TEMP/solve_a200.json" <<JSON
+{"params": {"a": 200.0, "k": 2},
+ "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
+ "grid": {"h": 0.03125}, "output_dir": "$RUNNER_TEMP/solve_a200"}
+JSON
+PYTHONPATH=src python -m weinstein solve --config "$RUNNER_TEMP/solve_a200.json"
 
 # k = 3: the full battery on the unit ball, run twice into one directory;
 # the two reports must be the same bytes

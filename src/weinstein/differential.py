@@ -43,7 +43,7 @@ def axis_derivative(field, axis):
                                                           table.bc_points[cut])
     h = field.grid.h
     weights = [np.full(table.row_r.size, c) for c in three_point_weights(h, h)[0]]
-    for full, part in zip(weights, table.weights[axis][0]):
+    for full, part in zip(weights, three_point_weights(*table.arms[axis])[0]):
         full[table.near] = part
     w_m, w_0, w_p = weights
     return w_m * nb[-1] + w_0 * field.active + w_p * nb[1]

@@ -407,9 +407,9 @@ def three_point_weights(h_minus, h_plus):
 
     Returns (first, second), each the (minus, centre, plus) weights of a
     3-point stencil exact on quadratics: u' ~ first . (u_-, u_0, u_+) and
-    u'' ~ second . (u_-, u_0, u_+).  The derivatives read `first`,
-    assembly both.  The squares are libm pow (np.float_power), which
-    array ** 2 (x * x) differs from in the last bit."""
+    u'' ~ second . (u_-, u_0, u_+).  The derivatives read `first`, and
+    assembly `second` on the y arms.  The squares are libm pow
+    (np.float_power), which array ** 2 (x * x) differs from in the last bit."""
     hm, hp = h_minus, h_plus
     den = hm * hp * (hm + hp)
     hm2, hp2 = np.float_power(hm, 2.0), np.float_power(hp, 2.0)
@@ -433,14 +433,14 @@ class NeighbourTable:
     the columns of `operator.SlotMatrix` and of the derivatives' gathers.
     Along the last (fastest) lattice axis a neighbour is the next or
     previous row.  `row_r` (int32) is each row's r layer.  `near` are the
-    rows with a cut arm (no neighbour, and no fold across r = 0), `ghost`
-    the near rows whose (r,-) arm folds.  The table is the one place a cut
-    arm is found and measured: it is cut at the fraction theta of the step
-    given by `domain.axis_cut`, clipped to [0, 1], and is max(theta,
-    ARM_FLOOR) steps long.  `weights` per axis are the three_point_weights
-    of the near rows' arms.  The cut arms, in the order bc_vector sums them
-    (node, axis, minus arm first), give `bc_rows`, their slots `bc_slots`
-    and `bc_points`.  The arrays that systems share are read-only.
+    rows with a cut arm (no neighbour, and no fold across r = 0).  The table
+    is the one place a cut arm is found and measured: it is cut at the
+    fraction theta of the step given by `domain.axis_cut`, clipped to [0,
+    1], and is max(theta, ARM_FLOOR) steps long.  `arms` per axis are the
+    near rows' arm lengths (h_minus, h_plus), the step on an arm not cut.
+    The cut arms, in the order bc_vector sums them (node, axis, minus arm
+    first), give `bc_rows`, their slots `bc_slots` and `bc_points`.  The
+    arrays that systems share are read-only.
 
     `mirror_axes` are the y axes j whose lattice mirrors about c_j (an even
     node count, symmetric about the centre) with an `inside` mask equal to
@@ -473,9 +473,8 @@ class NeighbourTable:
         cut_arm = neighbour < 0
         cut_arm[:, 0] &= self.row_r > 0  # the mirror across r = 0 is inside
         self.near = np.flatnonzero(cut_arm.any(axis=1))
-        self.ghost = self.row_r[self.near] == 0
         near_points = grid.points_of(flat[self.near])
-        self.weights, bc_rows, bc_slots, bc_points, keys = [], [], [], [], []
+        self.arms, bc_rows, bc_slots, bc_points, keys = [], [], [], [], []
         h = grid.h
         for axis in range(dim):
             arms = {}
@@ -492,7 +491,7 @@ class NeighbourTable:
                 bc_slots.append(np.full(rows.size, slot))
                 bc_points.append(points)
                 keys.append((rows * dim + axis) * 2 + (direction > 0))
-            self.weights.append(three_point_weights(arms[-1], arms[1]))
+            self.arms.append((arms[-1], arms[1]))
         order = np.argsort(np.concatenate(keys))
         self.bc_rows, self.bc_slots, self.bc_points = (
             np.concatenate(parts)[order] for parts in (bc_rows, bc_slots, bc_points))
@@ -505,7 +504,7 @@ class NeighbourTable:
         neighbourhood is inside (r mirror allowed); eroded slot by slot, (r,+), (r,-) .."""
         own = np.arange(self.row_r.size, dtype=np.int32)
         deep = np.ones(own.size, dtype=bool)
-        for axis in range(len(self.weights)):
+        for axis in range(len(self.arms)):
             for slot in (self.columns.shape[0] - 1 - axis, axis):
                 present = self.columns[slot] != own
                 if slot == 0:  # the first r layer's (r,-) mirror

@@ -63,15 +63,14 @@ def aniso_sphere_measure(params, t=1.0):
 def r_cell_measure(grid, params):
     """Exact int r^a dr over each staggered r-cell [i h, (i+1) h].
 
-    Using the exact cell measure (rather than r_i^a h) keeps the flux-form
-    operator and the volume quadrature consistent through the axis cell."""
-    a = params.a
-    h = grid.h
+    The exact measure (rather than r_i^a h) is the interior rows' dual cell
+    in the flux form of the operator (`operator._r_flux`), the axis cell too."""
+    a1 = params.a + 1.0
     i = np.arange(grid.n_r, dtype=float)
-    # a huge a overflows to inf/NaN without a warning: `solve` names the
-    # non-finite matrix that results
-    with np.errstate(over="ignore", invalid="ignore"):
-        return h ** (a + 1.0) * ((i + 1.0) ** (a + 1.0) - i ** (a + 1.0)) / (a + 1.0)
+    # ((i+1) h)^(a+1) (1 - (i/(i+1))^(a+1)) / (a+1), with no power of h or i
+    # alone (at h = 1/16 they leave range from a ~ 250); log(0) in cell 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return ((i + 1.0) * grid.h) ** a1 * -np.expm1(a1 * np.log(i / (i + 1.0))) / a1
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,20 @@
 
     L_a u = u_rr + (a/r) u_r + Delta_y u.
 
-Interior rows use the conservative flux form
+Every row writes the r direction in the conservative flux form
 
-    (B_a u)_i = [ (r_face+)^a (u_{i+1}-u_i)/h - (r_face-)^a (u_i-u_{i-1})/h ] / V_i
+    (B_a u)_i = [ r+^a (u_+ - u_i)/h+ - r-^a (u_i - u_-)/h- ] / V_i
 
-with the exact weighted cell measure V_i = int_cell r^a dr.  With that
-measure the scheme is exact on even quadratics at every node, including
-the axis cell, where the inward face weight (r = 0)^a vanishes and the
-even reflection u_{-1} = u_0 kills the a = 0 remainder; both readings
-implement the same zero weighted flux through the axis.
-
-Rows whose arms cross the boundary switch to the nondivergence form with
-3-point unequal-arm (Shortley-Weller) stencils and the Dirichlet value at
-the cut point.  Interior rows are symmetric in the weighted inner
-product <u, v> = sum u v V_i h^k; cut rows are not.  An assembly computes
-only the coefficients, which depend on a; the rows and columns of A, the
-arm weights and the cut arms come from the geometry's `NeighbourTable`.
+on its r arms h-+ (the step, or a cut arm), with faces r-+ = r_i -+ h-+/2,
+the exact dual cell V_i = int r^a dr between them and no flux through a
+face at r = 0 (`_r_flux`; Johansen & Colella, J. Comput. Phys. 147 (1998)
+60-85).  It is exact on even quadratics at every node, and no
+coefficient off the diagonal is negative, at any a.  The y arms of the
+rows with a cut arm take Shortley-Weller weights, and a cut arm the
+Dirichlet value at its cut point.  Interior rows are symmetric in the
+weighted inner product <u, v> = sum u v V_i h^k; cut rows are not.  An
+assembly computes only the coefficients, which depend on a; the rows and
+columns of A and the arms come from the geometry's `NeighbourTable`.
 
 A is a `SlotMatrix`: one row of values per slot of the table, whose
 `columns` are A's columns, zero where the slot has no neighbour, and
@@ -39,8 +37,7 @@ import numpy as np
 from .differential import gradient_fields
 from .errors import GridTooCoarse, MissingBoundaryData, StencilLeavesDomain, UnsupportedShape
 from .field import ScalarField, on_points
-from .geometry import R_AXIS, MirrorFold, boundary_samples, grid_geometry
-from .measure import r_cell_measure
+from .geometry import R_AXIS, MirrorFold, boundary_samples, grid_geometry, three_point_weights
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,9 @@ class SparseSystem:
             return out
         if dirichlet is None:
             raise MissingBoundaryData("stencil touches the boundary but no Dirichlet data given")
-        np.add.at(out, table.bc_rows, self.bc_coeffs * on_points(dirichlet, table.bc_points))
+        data = on_points(dirichlet, table.bc_points)
+        with np.errstate(invalid="ignore"):  # inf * 0: `solve` names an overflowed coefficient
+            np.add.at(out, table.bc_rows, self.bc_coeffs * data)
         return out
 
     def with_data(self, rhs, dirichlet):
@@ -221,52 +220,53 @@ class SparseSystem:
                            boundary_values=self.dirichlet)
 
 
+def _r_flux(r, h_minus, h_plus, a):
+    """(c_minus, c_plus) of r^-a d_r(r^a d_r u) at r on the arms h_minus,
+    h_plus: faces r-+ = r -+ h-+/2, V = int r^a dr between them, c-+ =
+    r-+^a / (h-+ V), and 0 through a face at r = 0.  In the ratio rho = r-/r+,
+    c+ = (a+1) / (h+ r+ (1 - rho^(a+1))) and c- = rho^a c+ h+ / h-, no power
+    of r over- or underflows."""
+    r_minus, r_plus = r - 0.5 * h_minus, r + 0.5 * h_plus
+    rho = r_minus / r_plus
+    # log(0) on the axis face; `solve` names a c+ that overflows at a huge a
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c_plus = (a + 1.0) / (h_plus * r_plus * -np.expm1((a + 1.0) * np.log(rho)))
+        c_minus = np.where(r_minus > 0.0, rho**a * c_plus * h_plus / h_minus, 0.0)
+    return c_minus, c_plus
+
+
 def _build(domain, grid, params) -> SparseSystem:
     """Matrix and boundary couplings of L_a on the active nodes of a grid,
     as a system that holds no data yet (b and dirichlet are None).  The
-    values fill the table's slots; the slots without a neighbour (the cut
-    arms and the r = 0 fold) are zeroed once bc_coeffs holds the cut arms'."""
+    values fill the table's slots; the slots of the cut arms are zeroed
+    once bc_coeffs holds their coefficients."""
     table = grid_geometry(domain, grid).neighbours
     dim = grid.k + 1
-    h = grid.h
-    a = params.a
-    m_r = r_cell_measure(grid, params)
-    face = (np.arange(grid.n_r + 1) * h) ** a
-    # for a huge a the cell measures overflow and these quotients are not
-    # finite; `solve` names that cause, so no warning is printed here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_plus = face[1:] / (h * m_r)
-        c_minus = face[:-1] / (h * m_r)
-    c_minus[0] = 0.0  # zero weighted flux through r = 0 (reflection)
-    h2 = h**2
+    h2 = grid.h**2
+    r_i, near, r_nodes = table.row_r, table.near, grid.r_nodes()
 
-    # interior rows: flux form, written on every row and overwritten on the near rows
-    r_i = table.row_r
+    # the r direction of every row in flux form: each r layer's on equal
+    # arms, then the near rows' on their own arms
+    c_minus, c_plus = (c[r_i] for c in _r_flux(r_nodes, grid.h, grid.h, params.a))
+    (h_minus, h_plus), *y_arms = table.arms
+    c_minus[near], c_plus[near] = _r_flux(r_nodes[r_i[near]], h_minus, h_plus, params.a)
     vals = np.empty(table.columns.shape)
-    vals[R_AXIS] = c_minus[r_i]
-    vals[-1] = c_plus[r_i]
-    vals[dim] = -(c_plus[r_i] + c_minus[r_i]) - 2.0 * grid.k / h2
+    vals[R_AXIS], vals[-1] = c_minus, c_plus
+    vals[dim] = -(c_plus + c_minus) - 2.0 * grid.k / h2
     vals[1:dim] = vals[dim + 1:-1] = 1.0 / h2
 
-    # near-boundary rows: nondivergence Shortley-Weller.  The diagonal sums
-    # c_0 axis by axis, the r = 0 ghost right after axis 0's c_0; a cut
-    # arm's coefficient stays in its slot for bc_coeffs
-    near = table.near
-    ar = a / grid.r_nodes()[r_i[near]]
-    diag = np.zeros(near.size)
-    for axis, (first, second) in enumerate(table.weights):
-        if axis == R_AXIS:  # u_rr + (a/r) u_r
-            second = [w2 + ar * w1 for w2, w1 in zip(second, first)]
-        c_m, c_0, c_p = second
+    # the near rows' y arms: Shortley-Weller.  The diagonal adds c_0 axis by
+    # axis; a cut arm's coefficient stays in its slot for bc_coeffs
+    diag = -(c_plus[near] + c_minus[near])
+    for axis, arms in enumerate(y_arms, start=1):
+        c_m, c_0, c_p = three_point_weights(*arms)[1]
         diag += c_0
-        if axis == R_AXIS:
-            diag[table.ghost] += c_m[table.ghost]
         vals[axis, near] = c_m
         vals[2 * dim - axis, near] = c_p
     vals[dim, near] = diag
 
     bc_coeffs = vals[table.bc_slots, table.bc_rows]
-    vals[table.bc_slots, table.bc_rows] = vals[R_AXIS, r_i == 0] = 0.0
+    vals[table.bc_slots, table.bc_rows] = 0.0
     return SparseSystem(
         A=SlotMatrix(vals, table), b=None, domain=domain, grid=grid, params=params,
         dirichlet=None, bc_coeffs=bc_coeffs,

@@ -29,10 +29,10 @@ Yang, SIAM J. Sci. Comput. 33(5) (2011)) and differ in k only:
   beside A.
 - k >= 2: v -> v / m alone.  Those solves take tens of iterations, and
   the V-cycle costs more than it saves (k = 2, h = 1/20: 2 + 8 ms
-  against 8 ms; k = 3, h = 1/10: 1 + 8 ms against 5 ms).  At large a
-  the term (a/r) u_r costs the rows beside the axis their diagonal
-  dominance (absolute row sum 5.9 times the diagonal at a = 40, k = 2,
-  h = 1/16), and a diagonal scale overflows to NaN there.
+  against 8 ms; k = 3, h = 1/10: 1 + 8 ms against 5 ms).  Every row is
+  in flux form in r (`operator._r_flux`), so A keeps the M-matrix sign
+  pattern at every a, and a large a needs no more iterations than a small
+  one: the unit ball at k = 2, h = 1/32 takes about 50 at a = 200.
 
 Every level of the V-cycle keeps its operator in the slot layout of A
 (see `operator.SlotMatrix`), so the solver needs numpy alone.  There is

@@ -2,6 +2,7 @@
 config validation, and sweeps."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -129,19 +130,40 @@ def test_solver_budget_exhaustion_exits_three_but_keeps_artifacts(tmp_path):
     assert (tmp_path / "out" / "u.csv").is_file()  # best iterate, inspectable
 
 
+def test_a_finite_failed_solve_skips_every_check(tmp_path):
+    # one iteration leaves a finite field far from the solution: the battery
+    # is gated on the solve, not on the field's values
+    cfg = {
+        "params": {"a": 1.0, "k": 2},
+        "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
+        "grid": {"h": 1 / 32},
+        "solver": {"max_iter": 1},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert _run(["verify", "--config", _write(tmp_path, cfg)]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["solver"]["converged"] is False
+    assert math.isfinite(report["solver"]["final_relative_residual"])
+    assert [c["name"] for c in report["checks"]] == list(CHECK_NAMES)
+    for c in report["checks"]:
+        assert (c["status"], c["detail"]) == ("skip", "skipped: solver did not converge")
+    assert report["extras"] == {}
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, command):
-    # the cell measures overflow at this a, so the field is NaN after one
-    # iteration; no check may run on it
+    # the flux coefficients beside the axis, about (a + 1) / h^2, overflow
+    # at this a, so A and b are not finite; no check may run on the field
     cfg = {
-        "params": {"a": 300.0, "k": 2},
+        "params": {"a": 1e307, "k": 2},
         "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
         "grid": {"h": 1 / 16},
         "output_dir": str(tmp_path / "out"),
     }
     run_dir = tmp_path / "out"
     if command == "sweep":
-        cfg["sweep"] = {"path": "params.a", "values": [300.0]}
+        cfg["sweep"] = {"path": "params.a", "values": [1e307]}
         run_dir = run_dir / "run_000"
     assert _run([command, "--config", _write(tmp_path, cfg)]) == 3
     report = json.loads((run_dir / "report.json").read_text(),
@@ -161,12 +183,12 @@ def test_overflowed_field_skips_every_check_and_exits_three(tmp_path, capsys, co
             f"non-finite entries\n") in capsys.readouterr().err
 
 
-# the cell measures overflow at this a, leaving NaN entries in A; the
-# V-cycle's dense coarse solve must not turn them into an SVD error, and the
-# failure names the matrix (no RuntimeWarning: pytest would make it an error)
+# the flux coefficients overflow at this a, leaving non-finite entries in A;
+# the V-cycle's dense coarse solve must not turn them into an SVD error, and
+# the failure names the matrix (no RuntimeWarning: pytest would make it an error)
 def test_non_finite_matrix_exits_three_without_a_linear_algebra_error(tmp_path, capsys):
     cfg = {
-        "params": {"a": 300.0, "k": 1},
+        "params": {"a": 1e307, "k": 1},
         "domain": {"type": "ball", "radius": 1.0, "center": [0.0]},
         "grid": {"h": 1 / 32},
         "output_dir": str(tmp_path / "out"),

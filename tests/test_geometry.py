@@ -429,7 +429,7 @@ def test_banded_geometry_matches_the_exact_distance_everywhere(semi, center, h, 
         assert _bitwise_equal(getattr(geo.covered, name), getattr(ref.covered, name)), name
     for name in ("bc_rows", "bc_slots", "bc_points"):
         assert _bitwise_equal(getattr(geo.neighbours, name), getattr(ref.neighbours, name)), name
-    for got, want in zip(geo.neighbours.weights, ref.neighbours.weights):
+    for got, want in zip(geo.neighbours.arms, ref.neighbours.arms):
         assert _bitwise_equal(np.array(got), np.array(want))
     assert rows[0] < rows[1]  # the band saved some Newton solves
 

@@ -100,6 +100,17 @@ def test_r_cell_measure_matches_per_cell_quadrature():
         assert m[i] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0, 300.0, 1000.0])
+def test_r_cell_measures_are_finite_and_telescope_at_large_a(a):
+    # h^(a+1) underflows and (i+1)^(a+1) overflows here, so the measures
+    # are written in the ratio i/(i+1)
+    grid = StaggeredGrid.from_domain(Ball(1.0, center=(0.0, 0.0)), 1 / 16)
+    m = r_cell_measure(grid, WeinsteinParams(a=a, k=2))
+    assert np.all(np.isfinite(m)) and np.all(m >= 0.0)
+    want = (grid.n_r * grid.h) ** (a + 1.0) / (a + 1.0)
+    assert abs(math.fsum(m) - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # volume integrals
 # ---------------------------------------------------------------------------

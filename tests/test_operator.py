@@ -1,7 +1,8 @@
 """Discrete operator tests.
 
 The scheme must reproduce even quadratics exactly (flux faces and cut
-rows are both exact there), show second order on a manufactured quartic,
+rows are both exact there, the ball's at any a), keep the M-matrix sign
+pattern at any a, show second order on a manufactured quartic,
 keep the weighted symmetry of the continuous operator on interior nodes,
 and agree with an independently assembled full-plane discretization at
 a = 0, where the axis fold is nothing but even reflection.  One neighbour
@@ -14,6 +15,7 @@ import json
 import re
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from weinstein import geometry
 from weinstein.cli import main
 from weinstein.gamma import BesselWeights, bessel_sum_apply
 from weinstein.measure import r_cell_measure
+from weinstein.operator import _r_flux
 
 from test_stencil_reference import _bitwise_equal, _dirichlet, _reference_stencil, _scipy_slots
 
@@ -70,6 +73,25 @@ def test_ball_torsion_solution_is_nodal_exact(a):
     exact = (1.0 - pts[:, 0] ** 2 - pts[:, 1] ** 2) / (2.0 * params.dim_eff)
     err = np.max(np.abs(u.active - exact))
     assert err <= 1e-9
+
+
+_EXACT_H = {1: 1 / 32, 2: 1 / 16, 3: 1 / 8}
+
+
+@pytest.mark.parametrize("k,a,h", [(k, a, _EXACT_H[k]) for k in (1, 2, 3)
+                                   for a in (0.0, 1.0, 40.0, 200.0)]
+                         + [(2, 200.0, 1 / 24), (2, 200.0, 1 / 32), (3, 200.0, 1 / 10)])
+def test_ball_torsion_solution_is_nodal_exact_at_large_a(k, a, h):
+    # every row is in flux form in r, exact on r^2 at any a; with the
+    # non-divergence cut rows the k = 2, a = 200 balls at h = 1/24 and 1/32
+    # did not converge
+    params = WeinsteinParams(a=a, k=k)
+    dom = Ball(1.0, center=(0.0,) * k)
+    grid = StaggeredGrid.from_domain(dom, h)
+    u, report = solve(assemble_torsion_system(dom, grid, params))
+    assert report.converged
+    u_exact, _ = dom.exact_torsion(params)
+    assert np.max(np.abs(u.active - u_exact(grid.points_at(u.geometry.inside)))) <= 1e-9
 
 
 def test_shifted_ellipsoid_torsion_solution_is_nodal_exact():
@@ -187,8 +209,8 @@ def test_operator_is_self_adjoint_in_weighted_inner_product_on_interior():
 
 # -- reflection consistency at a = 0 --------------------------------------------
 #
-# At a = 0 the half-grid scheme (zero flux through r = 0, ghost fold in the
-# cut rows) must coincide with an ordinary full-plane discretization of the
+# At a = 0 the half-grid scheme (zero flux through r = 0 on every row)
+# must coincide with an ordinary full-plane discretization of the
 # Laplacian on the reflected box, restricted to r > 0.  The oracle below is
 # assembled independently: plain 5-point stencil with Shortley-Weller arms
 # at the walls, no axis logic at all, solved with a direct method.
@@ -428,6 +450,52 @@ def test_field_csv_rejects_a_node_outside_the_domain(tmp_path):
         field_from_csv(path, u.grid, u.domain)
 
 
+# -- the flux form in r ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a", [0, 1, 3, 40])
+def test_r_flux_matches_the_exact_dual_cell_on_unequal_arms(a):
+    h = 1 / 16
+    cases = [(0.5 * h, h, 0.25 * h),  # the face at r = 0 carries no flux
+             (1.5 * h, 0.75 * h, h), (2.5 * h, h, 1e-6 * h),
+             (5.5 * h, 0.125 * h, 0.5 * h), (15.5 * h, h, h)]
+    r, hm, hp = (np.array(column) for column in zip(*cases))
+    c_minus, c_plus = _r_flux(r, hm, hp, float(a))
+    for i, (ri, hmi, hpi) in enumerate(cases):
+        r_minus, r_plus = Fraction(ri) - Fraction(hmi) / 2, Fraction(ri) + Fraction(hpi) / 2
+        volume = (r_plus ** (a + 1) - r_minus ** (a + 1)) / (a + 1)
+        want_plus = r_plus ** a / (Fraction(hpi) * volume)
+        want_minus = r_minus ** a / (Fraction(hmi) * volume) if r_minus else Fraction(0)
+        assert abs(Fraction(c_plus[i]) - want_plus) <= 1e-14 * want_plus, (i, "+")
+        assert abs(Fraction(c_minus[i]) - want_minus) <= 1e-14 * want_minus, (i, "-")
+
+
+_SIGN_DOMAINS = {
+    1: (Ball(1.0, center=(0.0,)), Ellipsoid((1.0, 2.0), center=(0.37,)), 1 / 24),
+    2: (Ball(1.0, center=(0.0, 0.0)), Ellipsoid((1.0, 1.3, 0.8), center=(0.05, -0.1)), 1 / 12),
+    3: (Ball(1.0, center=(0.0,) * 3),
+        Ellipsoid((1.0, 1.3, 0.8, 1.1), center=(0.05, -0.1, 0.02)), 1 / 6),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_row_has_the_m_matrix_sign_pattern_at_every_a(k):
+    # A's diagonal is negative, so an M-matrix row needs every other
+    # coefficient, a cut arm's Dirichlet coupling too, to be nonnegative;
+    # the non-divergence (a/r) u_r of the cut rows broke that from a*h/(2r) > 1
+    *domains, h = _SIGN_DOMAINS[k]
+    for dom in domains:
+        grid = StaggeredGrid.from_domain(dom, h)
+        for a in (0.0, 1.0, 40.0, 200.0, 1e4):
+            system = assemble_torsion_system(dom, grid, WeinsteinParams(a=a, k=k))
+            values = system.A.values
+            mid = values.shape[0] // 2
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(system.bc_coeffs))
+            assert np.all(values[mid] < 0.0), (dom, a)
+            assert np.all(np.delete(values, mid, axis=0) >= 0.0), (dom, a)
+            assert np.all(system.bc_coeffs > 0.0), (dom, a)
+
+
 # -- neighbour table ---------------------------------------------------------------
 
 
@@ -438,7 +506,7 @@ def test_one_table_gives_the_reference_stencil_at_every_a(k, h, shift):
     domain = Ball(1.0, center=(shift * h,) + (0.0,) * (k - 1))
     grid = StaggeredGrid.from_domain(domain, h)
     table = grid_geometry(domain, grid).neighbours
-    assert table.ghost.any()
+    assert (table.row_r[table.near] == 0).any()
     for a in (0.0, 0.5, 4.0):
         params = WeinsteinParams(a=a, k=k)
         A, bc_rows, bc_coeffs, bc_points = _reference_stencil(domain, grid, params)

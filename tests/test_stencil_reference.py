@@ -1,10 +1,11 @@
 """The array-built stencil, derivatives and CSV writer against references.
 
-`_reference_stencil` is the per-node Shortley-Weller loop the operator
-used to assemble near-boundary rows with, and `_reference_csv` the
-per-row f-string writer.  The array code must reproduce both bit for bit:
-the matrix arrays, the boundary couplings in their summation order, the
-right-hand side, and the bytes of the file.  `_reference_three_point` is
+`_reference_stencil` is a per-node loop over the near-boundary rows: the
+flux form of `_r_flux` on each node's r arms and Shortley-Weller weights
+on its y arms; `_reference_csv` is the per-row f-string writer.  The
+array code must reproduce both bit for bit: the matrix arrays, the
+boundary couplings in their summation order, the right-hand side, and
+the bytes of the file.  `_reference_three_point` is
 the full-lattice path the derivatives took before they read the
 `NeighbourTable`: shifted neighbour values and an arm length per lattice
 node, from cut fractions over whole-lattice arrays; the derivatives must
@@ -63,6 +64,7 @@ from weinstein import solver
 from weinstein.operator import (
     CSV_BLOCK_ROWS,
     _mirror_classes,
+    _r_flux,
     normal_derivative_at_axis,
     slot_product,
 )
@@ -103,11 +105,7 @@ def _reference_stencil(domain, grid, params):
     )
     h = grid.h_r
     a = params.a
-    m_r = r_cell_measure(grid, params)
-    face = (np.arange(grid.n_r + 1) * h) ** a
-    c_plus = face[1:] / (h * m_r)
-    c_minus = face[:-1] / (h * m_r)
-    c_minus[0] = 0.0
+    c_minus, c_plus = _r_flux(grid.r_nodes(), h, h, a)
     hy2 = grid.h_y**2
 
     rows, cols, vals = [], [], []
@@ -153,15 +151,15 @@ def _reference_stencil(domain, grid, params):
                     arm[direction] = (max(theta, 1e-6) * step, ("bc", cut_pt))
             hp, src_p = arm[1]
             hm, src_m = arm[-1]
-            den = hm * hp * (hm + hp)
-            c_m = 2.0 * hp / den
-            c_p = 2.0 * hm / den
-            c_0 = -2.0 * (hm + hp) / den
-            if axis == R_AXIS:
-                ar = a / pt[0]
-                c_m += ar * (-(hp**2) / den)
-                c_p += ar * (hm**2 / den)
-                c_0 += ar * ((hp**2 - hm**2) / den)
+            if axis == R_AXIS:  # flux form, on this node's arms alone
+                c_m, c_p = (float(c[0]) for c in _r_flux(
+                    np.array([pt[0]]), np.array([hm]), np.array([hp]), a))
+                c_0 = -(c_p + c_m)
+            else:
+                den = hm * hp * (hm + hp)
+                c_m = 2.0 * hp / den
+                c_p = 2.0 * hm / den
+                c_0 = -2.0 * (hm + hp) / den
             diag += c_0
             for coeff, (kind, payload) in ((c_m, src_m), (c_p, src_p)):
                 if kind == "node":
@@ -172,8 +170,8 @@ def _reference_stencil(domain, grid, params):
                     bc_rows.append(row)
                     bc_coeffs.append(coeff)
                     bc_points.append(payload)
-                else:
-                    diag += coeff
+                else:  # no flux through the face at r = 0
+                    assert coeff == 0.0
         rows.append(np.array([row]))
         cols.append(np.array([row]))
         vals.append(np.array([diag]))
@@ -309,8 +307,8 @@ def _cut_arms(geo):
 
 
 def test_case_list_reaches_the_ghost_the_arm_floor_and_two_cut_arms():
-    geo = grid_geometry(*_CASES["ball_k2_a0"][:2])
-    assert geo.neighbours.ghost.any()
+    table = grid_geometry(*_CASES["ball_k2_a0"][:2]).neighbours
+    assert (table.row_r[table.near] == 0).any()  # a near row whose (r,-) arm folds
     geo = grid_geometry(*_CASES["grazing_ball"][:2])
     assert min(theta.min() for *_, theta, _ in _cut_arms(geo) if theta.size) < ARM_FLOOR
     geo = grid_geometry(*_CASES["pinched_ball"][:2])
@@ -649,7 +647,7 @@ def test_near_and_deep_rows_match_the_lattice_shifts_bitwise(domain, h):
     assert _bitwise_equal(deep_mask(geo), deep)
     assert _bitwise_equal(table.near, np.flatnonzero(near[inside]))
     assert _bitwise_equal(table.deep, deep[inside])
-    assert _bitwise_equal(table.ghost, np.argwhere(near)[:, 0] == 0)
+    assert _bitwise_equal(table.row_r[table.near] == 0, np.argwhere(near)[:, 0] == 0)
     assert deep.any() and near.any()
 
 
