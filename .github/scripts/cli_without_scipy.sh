@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and four
+# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and three
 # solves through the CLI, a check that a sweep point and a standalone run
 # write the same u.csv bytes, then a k = 3 verify run twice, whose reports
 # must be equal.  Run from the repository root once scipy is uninstalled;

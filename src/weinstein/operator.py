@@ -31,6 +31,7 @@ and the fold solves keep on it, live as long as the systems that hold it
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -73,6 +74,18 @@ def slot_product(values, columns, x):
     return y
 
 
+def _mirror_defect(values, table, axis):
+    """The norm of A less its mirror image on `axis` (one of the table's
+    `mirror_axes`), for A's `values` in the table's slot layout: the
+    (y_j,-) and (y_j,+) slots swap, and the rows go to their mirror images."""
+    width = values.shape[0]
+    mirror = table.mirror(axis)
+    swap = np.arange(width)
+    swap[[axis, width - 1 - axis]] = width - 1 - axis, axis
+    return np.sqrt(sum(np.linalg.norm(values[swap[slot]].take(mirror) - values[slot]) ** 2
+                       for slot in range(width)))
+
+
 class SlotMatrix:
     """A on the active nodes of a grid, in its `NeighbourTable`'s slot layout.
 
@@ -84,11 +97,12 @@ class SlotMatrix:
 
     `even_axes` are the table's mirror axes on which A and given data are
     their own mirror images, and `fold` gives A on the fundamental rows of
-    some of them; A keeps its last fold, for every system on it whose data
-    are even on the same axes.  `levels` are the solver's V-cycle levels
-    for the matrix a solve iterates on, the fold (A itself over no axes),
-    None until a k = 1 solve builds them.  Nothing in a fold or its levels
-    refers to A, so all are freed with A."""
+    some of them; A keeps its own mirror defects, for every system on it,
+    and its last fold, for every system whose data are even on the same
+    axes.  `levels` are the solver's V-cycle levels for the matrix a solve
+    iterates on, the fold (A itself over no axes), None until a k = 1
+    solve builds them.  Nothing in a fold or its levels refers to A, so
+    all are freed with A."""
 
     def __init__(self, values, table):
         self.values = values
@@ -100,30 +114,29 @@ class SlotMatrix:
     def __matmul__(self, x):
         return slot_product(self.values, self.table.columns, x)
 
+    @functools.cached_property
+    def _mirror_defects(self):
+        """(norm of `values`, {axis: `_mirror_defect` of A on axis}) over the
+        table's `mirror_axes`: A's half of `even_axes`, which no b changes,
+        computed on first need and kept, as the fold is."""
+        return (np.linalg.norm(self.values),
+                {axis: _mirror_defect(self.values, self.table, axis)
+                 for axis in self.table.mirror_axes})
+
     def even_axes(self, b, tol):
         """The table's `mirror_axes` j whose mirror y_j -> 2 c_j - y_j maps
         A and b to themselves, up to tol relative to the norms of `values`
-        and b: the (y_j,-) and (y_j,+) slots swap, and the rows go to their
-        mirror images.  On those axes the solution of A x = b is even, up
-        to rounding.  Assembled coefficients differ from their mirror
-        images by rounding in the cut arms (4e-12 of the largest on the
-        (1, 2) ellipsoid at h = 1/96), so for an assembled A the data
-        decide; a matrix built by hand is even where its values are."""
-        width = self.values.shape[0]
-        values_tol, b_tol = tol * np.linalg.norm(self.values), tol * np.linalg.norm(b)
-        axes = []
-        for axis in self.table.mirror_axes:
-            mirror = self.table.mirror(axis)
-            if not np.linalg.norm(b.take(mirror) - b) <= b_tol:
-                continue
-            swap = np.arange(width)
-            swap[[axis, width - 1 - axis]] = width - 1 - axis, axis
-            odd = np.sqrt(sum(np.linalg.norm(self.values[swap[slot]].take(mirror)
-                                             - self.values[slot]) ** 2
-                              for slot in range(width)))
-            if odd <= values_tol:
-                axes.append(axis)
-        return tuple(axes)
+        and b.  On those axes the solution of A x = b is even, up to
+        rounding.  Assembled coefficients differ from their mirror images
+        by rounding in the cut arms (4e-12 of the largest on the (1, 2)
+        ellipsoid at h = 1/96), so for an assembled A the data decide; a
+        matrix built by hand is even where its values are.  A's defects are
+        kept (`_mirror_defects`), so each call passes over b alone."""
+        norm, defects = self._mirror_defects
+        b_tol = tol * np.linalg.norm(b)
+        return tuple(axis for axis in self.table.mirror_axes
+                     if np.linalg.norm(b.take(self.table.mirror(axis)) - b) <= b_tol
+                     and defects[axis] <= tol * norm)
 
     def fold(self, axes):
         """A on the fundamental rows of its mirrors on `axes`, over the

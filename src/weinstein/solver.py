@@ -11,14 +11,15 @@ Every shape is mirror-symmetric about its centre in each y_j, and so are
 the torsion data and the calibration quartic, so `solve` folds A onto the
 fundamental rows, 1/2^k of the unknowns (`operator.SlotMatrix.fold`),
 iterates there and unfolds x.  It folds over the axes on which A and b
-equal their mirror images to within tol (`SlotMatrix.even_axes`), so data
-that are not even, and a matrix built by hand that is not, solve
-unfolded.  A keeps its fold, so a second solve on the same A over the
-same axes, such as the calibration solve of `p_constancy` through
-`SparseSystem.with_data`, reuses it at every k.  The figures below are
-on folded systems, under one BLAS thread.  Both preconditioners scale
-rows by the l1-Jacobi scale m = -sum_j |a_ij| (Baker, Falgout, Kolev &
-Yang, SIAM J. Sci. Comput. 33(5) (2011)) and differ in k only:
+equal their mirror images to within tol (`SlotMatrix.even_axes`, which
+keeps A's half of that test on A), so data that are not even, and a
+matrix built by hand that is not, solve unfolded.  A keeps its fold, so
+a second solve on the same A over the same axes, such as the calibration
+solve of `p_constancy` through `SparseSystem.with_data`, reuses it at
+every k.  The figures below are on folded systems, under one BLAS
+thread.  Both preconditioners scale rows by the l1-Jacobi scale
+m = -sum_j |a_ij| (Baker, Falgout, Kolev & Yang, SIAM J. Sci. Comput.
+33(5) (2011)) and differ in k only:
 
 - k = 1: an aggregation V-cycle (plain aggregation, Braess, Computing 55
   (1995)) smoothed by x += (b - A x) / m.  On the (1, 2) ellipsoid at
@@ -38,7 +39,11 @@ Every level of the V-cycle keeps its operator in the slot layout of A
 (see `operator.SlotMatrix`), so the solver needs numpy alone.  There is
 no sparse LU: on the k = 1, h = 1/96 ellipsoid scipy's `splu` fills L + U
 with 2.1 million nonzeros, 32 MB, half the 65 MB that the whole `verify`
-run peaked at when scipy was imported.
+run peaked at when scipy was imported.  The coarsest level is banded in
+lattice order, and a band LU on ufuncs and vector-matrix contractions
+inverts it exactly (`_band_inverse`), so a solve calls no LAPACK
+routine, whose first call would page in several MB, and the inverse's
+bits do not depend on the BLAS thread count.
 
 The returned residual is recomputed from the original, unfolded system at exit
 (never trusted from the iteration), so a report cannot claim more than
@@ -56,7 +61,7 @@ from .errors import BreakdownDetected, NoConvergence
 from .operator import SlotMatrix, slot_product
 
 BREAKDOWN_TOL = np.finfo(float).eps ** 2  # floor on |rho| and |omega|, as in scipy
-COARSEST = 256  # unknowns at which the V-cycle stops coarsening and solves densely
+COARSEST = 256  # unknowns at which the V-cycle stops coarsening and inverts exactly
 OVERCORRECTION = 1.5  # scale of the V-cycle's coarse correction
 
 
@@ -140,13 +145,58 @@ def _coarsen(values, columns, agg, n_coarse):
     return coarse, coarse_columns
 
 
+def _band_inverse(dense, bw):
+    """The inverse of `dense`, whose nonzeros lie within bw of the diagonal,
+    by Gaussian elimination with partial pivoting within the band (Golub &
+    Van Loan, Matrix Computations, 4th ed., section 4.3).  It runs on
+    ufuncs, slices and vector-matrix contractions (`np.einsum`) alone, so
+    no LAPACK or BLAS routine runs and its bits do not depend on the
+    thread count.  A zero pivot gives non-finite entries, not an error.
+
+    Step j swaps rows j and p (|p - j| <= bw) from column j on and stores
+    its multipliers l_j below the diagonal, as LAPACK's band LU does, so
+    U = M_{n-2} ... M_0 A with M_j = (I - l_j e_j^T) P_j; U's band above
+    the diagonal is bw plus the farthest swap, at most 2 bw.  W = U^-T is
+    solved row by row, and W <- M_j^T W for j from the last step down (row
+    j less l_j times the rows below it, then the swap) leaves W = A^-T."""
+    n = dense.shape[0]
+    lu, pivots = dense.copy(), np.arange(n)
+    spread = 0  # the farthest row swap so far
+    for j in range(n - 1):
+        end = min(n, j + bw + 1)
+        column = lu[j:end, j]
+        p = j + int(np.abs(column).argmax())
+        if p != j:
+            spread = max(spread, p - j)
+            lu[[j, p], j:] = lu[[p, j], j:]
+            pivots[j] = p
+        multipliers = column[1:]
+        multipliers /= column[0]
+        right = j + bw + spread + 1
+        lu[j + 1:end, j + 1:right] -= np.multiply.outer(multipliers, lu[j, j + 1:right])
+    w = np.eye(n)
+    for i in range(n):
+        top = max(0, i - bw - spread)
+        w[i, :i] -= np.einsum("k,kc->c", lu[top:i, i], w[top:i, :i])
+        w[i, :i + 1] /= lu[i, i]
+    for j in range(n - 2, -1, -1):
+        end = j + bw + 1
+        w[j] -= np.einsum("k,kc->c", lu[j + 1:end, j], w[j + 1:end])
+        if pivots[j] != j:
+            w[[j, pivots[j]]] = w[[pivots[j], j]]
+    return w.T.copy()
+
+
 def _hierarchy(A):
     """The V-cycle's levels for A on the active nodes of its table's lattice
     mask `inside`: a list of (values, columns, l1 scale, aggregate of each
-    row) from A down, and the pseudo-inverse of the coarsest operator.
-    Nothing in it refers to A.  Each level's nodes are sorted lattice
-    indices (`np.unique`), so a node's neighbours along the last axis are
-    the next and previous rows, as `slot_product` reads them."""
+    row) from A down, and the inverse of the coarsest operator
+    (`_band_inverse`, on the band its slot columns span).  Nothing in it
+    refers to A.  Each level's nodes are sorted lattice indices
+    (`np.unique`), so a node's neighbours along the last axis are the next
+    and previous rows, as `slot_product` reads them, and the coarsest
+    operator is banded: at h = 1/96 on the (1, 2) ellipsoid it has 240
+    rows and bandwidth 24."""
     shape = np.array(A.table.inside.shape)
     nodes = np.flatnonzero(A.table.inside)
     values, columns = A.values, A.table.columns
@@ -158,13 +208,15 @@ def _hierarchy(A):
         nodes, agg = np.unique(parent, return_inverse=True)
         levels.append((values, columns, _l1_scale(values), agg))
         values, columns = _coarsen(values, columns, agg, nodes.size)
+    rows = np.arange(nodes.size)
     dense = np.zeros((nodes.size, nodes.size))
-    np.add.at(dense, (np.arange(nodes.size), columns), values)
-    # an overflowed stencil gets a non-finite coarse solve, not an SVD error:
+    np.add.at(dense, (rows, columns), values)
+    # an overflowed stencil or a zero pivot gets a non-finite coarse solve:
     # the loop then stops at its first non-finite residual norm
-    coarsest = (np.linalg.pinv(dense) if np.isfinite(dense).all()
-                else np.full_like(dense, np.nan))
-    return levels, coarsest
+    if not np.isfinite(dense).all():
+        return levels, np.full_like(dense, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return levels, _band_inverse(dense, int(np.abs(columns - rows).max()))
 
 
 def _preconditioned(system, tol):
@@ -179,7 +231,8 @@ def _preconditioned(system, tol):
     holding at least one row; the coarse operator is P^T F P for the 0/1
     aggregation P, kept as the aggregate index `agg` of each node (P^T r
     sums r over each aggregate, P y copies y to its members).  Levels stop
-    at COARSEST unknowns, solved by a dense pseudo-inverse.  The smoother
+    at COARSEST unknowns, whose operator's exact inverse, from a band LU
+    without LAPACK (`_band_inverse`), is the bottom solve.  The smoother
     is l1-Jacobi, x += (b - F x) / m with m = -sum_j |f_ij|: one sweep
     before the coarse correction (after x = b / m), two after it.  The
     piecewise-constant P undershoots smooth errors, so the coarse

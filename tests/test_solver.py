@@ -11,10 +11,12 @@ scipy is a test reference only: the package runs on numpy alone.
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -34,11 +36,13 @@ from weinstein import (
     WeinsteinParams,
     assemble_torsion_system,
     grid_geometry,
+    run_experiment,
     solve,
 )
 from weinstein import operator as operator_module
 from weinstein import solver as solver_module
 from weinstein.geometry import MirrorFold
+from weinstein.rigidity import CHECK_NAMES
 from weinstein.operator import SlotMatrix
 
 _SCIPY_VERSION = tuple(int(p) for p in scipy.__version__.split(".")[:2])
@@ -493,3 +497,124 @@ def test_runs_import_no_scipy(tmp_path):
     assert report["solver"]["iterations"] >= 1
     assert not [c["name"] for c in report["checks"] if c["detail"].startswith("skipped")]
     assert (tmp_path / "sweep" / "run_000" / "u.csv").exists()
+
+
+@pytest.mark.parametrize("bw", [0, 1, 3, 7, 20])
+def test_band_inverse_pivots_on_any_nonsingular_band(bw):
+    # small and zero diagonals force row swaps, and a row swapped down can
+    # be swapped again at the next step, so U's band widens past bw
+    rng = np.random.default_rng(bw)
+    rows, cols = np.indices((60, 60))
+    for diagonal in (1.0, 1e-3, 0.0):
+        dense = np.where(np.abs(rows - cols) <= bw, rng.standard_normal((60, 60)), 0.0)
+        dense[np.diag_indices(60)] *= diagonal
+        if bw == 0 and diagonal == 0.0:
+            continue  # singular
+        want = np.linalg.inv(dense)
+        got = solver_module._band_inverse(dense, bw)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def _coarsest_operator(levels, n):
+    """The dense operator whose inverse `_hierarchy` returns beside `levels`."""
+    values, columns, _, agg = levels[-1]
+    values, columns = solver_module._coarsen(values, columns, agg, n)
+    dense = np.zeros((n, n))
+    np.add.at(dense, (np.arange(n), columns), values)
+    return dense
+
+
+_COARSEST_DIGEST = """
+import hashlib, sys
+from weinstein import Ellipsoid, StaggeredGrid, WeinsteinParams, assemble_torsion_system
+from weinstein import solver
+dom = Ellipsoid(semi_axes=(1.0, 2.0))
+system = assemble_torsion_system(dom, StaggeredGrid.from_domain(dom, 1 / 96),
+                                 WeinsteinParams(a=1.0, k=1))
+folded, _ = solver._preconditioned(system, 1e-10)
+print(hashlib.sha1(folded.levels[1].tobytes()).hexdigest())
+"""
+
+
+def test_coarsest_inverse_does_not_depend_on_the_thread_count():
+    # pinv's SVD split its work across OpenBLAS threads, and its bits moved
+    # with their number; the band LU calls no BLAS
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weinstein.__file__))}
+    digests = set()
+    for threads in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", _COARSEST_DIGEST],
+                             env={**env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    dom = Ellipsoid(semi_axes=(1.0, 2.0))
+    system = _reference_system(dom, 1 / 96)
+    folded, _ = solver_module._preconditioned(system, 1e-10)
+    levels, coarsest = folded.levels
+    digests.add(hashlib.sha1(coarsest.tobytes()).hexdigest())
+    assert len(digests) == 1
+    assert [level[0].shape[1] for level in levels] == [14479, 3652, 931]
+    assert coarsest.shape == (240, 240)
+    want = np.linalg.inv(_coarsest_operator(levels, 240))
+    assert np.max(np.abs(coarsest - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_LAPACK = ("pinv", "inv", "solve", "svd", "lstsq", "qr", "eig", "eigh", "cholesky", "det")
+
+
+def test_a_k1_run_calls_no_lapack(monkeypatch):
+    # the first LAPACK call of a process pages in several MB
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in _LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), WeinsteinParams(a=1.0, k=1),
+                            h=1.0 / 32)
+    assert report.solver.converged
+    assert [c.name for c in report.checks] == list(CHECK_NAMES)
+    assert not [c.name for c in report.checks if c.detail.startswith("skipped")]
+
+
+def test_a_singular_coarsest_level_fails_with_the_documented_payload():
+    # all-zero values: every pivot of the coarsest level is zero
+    sys0 = _ball_system(h=1.0 / 32)
+    system = _slot_system(sys0, {}, np.ones(sys0.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        folded, _ = solver_module._preconditioned(system, 1e-10)
+        levels, coarsest = folded.levels
+        assert levels and not np.isfinite(coarsest).any()
+        with pytest.raises((NoConvergence, BreakdownDetected)) as err:
+            solve(system)
+    exc = err.value
+    assert exc.best is not None and exc.best.active.shape == (system.n,)
+    assert not exc.report.converged
+    assert exc.report.n_unknowns == system.n
+
+
+def test_a_is_mirrored_once_per_matrix(monkeypatch):
+    passes = []
+    defect = operator_module._mirror_defect
+
+    def counted(values, table, axis):
+        passes.append(axis)
+        return defect(values, table, axis)
+
+    monkeypatch.setattr(operator_module, "_mirror_defect", counted)
+    for k, h in ((1, 1 / 32), (2, 1 / 16)):
+        del passes[:]
+        system = _ball_system(h=h, k=k)
+        solve(system)
+        solve(system.with_data(-2.0, 0.0))  # the calibration solve's path
+        assert passes == list(range(1, k + 1))
+        solve(_ball_system(h=h, k=k))  # another matrix has its own
+        assert passes == 2 * list(range(1, k + 1))
+    # each call compares the kept defect with its own tol
+    sys0 = _ball_system(h=1.0 / 16)
+    y1 = sys0.grid.points_at(grid_geometry(sys0.domain, sys0.grid).inside)[:, 1]
+    mid = sys0.A.values.shape[0] // 2
+    del passes[:]
+    system = _slot_system(sys0, {mid: -(1.0 + y1 ** 2 + 1e-6 * y1)}, np.full(sys0.n, -1.0))
+    assert system.A.even_axes(system.b, 1e-10) == ()
+    assert system.A.even_axes(system.b, 1e-3) == (1,)
+    assert passes == [1]
