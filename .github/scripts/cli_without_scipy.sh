@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep and three
-# solves through the CLI, a check that a sweep point and a standalone run
-# write the same u.csv bytes, then a k = 3 verify run twice, whose reports
-# must be equal.  Run from the repository root once scipy is uninstalled;
-# every file it writes lies under $RUNNER_TEMP.
+# Two verify runs (a k = 1 ellipsoid, a k = 2 box), one sweep whose
+# points must each take at most 20 iterations and three solves through the
+# CLI, a check that a sweep point and a standalone run write the same u.csv
+# bytes, then a k = 3 verify run twice, whose reports must be equal.  Run
+# from the repository root once scipy is uninstalled; every file it writes
+# lies under $RUNNER_TEMP.
 set -euo pipefail
 : "${RUNNER_TEMP:?set RUNNER_TEMP to a scratch directory}"
 
@@ -25,7 +26,8 @@ cat > "$RUNNER_TEMP/verify_box.json" <<JSON
 JSON
 PYTHONPATH=src python -m weinstein verify --config "$RUNNER_TEMP/verify_box.json"
 
-# k = 2 points: the l1-scaled solve on the folded system
+# k = 2 points: the V-cycle-preconditioned solve on the folded system,
+# which takes 11 iterations at a = 1; the l1 row scale alone took 54
 cat > "$RUNNER_TEMP/sweep.json" <<JSON
 {"params": {"a": 1.0, "k": 2},
  "domain": {"type": "ball", "radius": 1.0, "center": [0.0, 0.0]},
@@ -33,6 +35,13 @@ cat > "$RUNNER_TEMP/sweep.json" <<JSON
  "sweep": {"path": "params.a", "values": [1.0, 2.0]}}
 JSON
 PYTHONPATH=src python -m weinstein sweep --config "$RUNNER_TEMP/sweep.json"
+for report in "$RUNNER_TEMP"/sweep/run_*/report.json; do
+  python - "$report" <<'PY'
+import json, sys
+iterations = json.load(open(sys.argv[1]))["solver"]["iterations"]
+assert iterations <= 20, f"{sys.argv[1]}: {iterations} iterations"
+PY
+done
 
 # a sweep point and a standalone run write the same u.csv bytes
 cat > "$RUNNER_TEMP/solve.json" <<JSON

@@ -100,8 +100,8 @@ class SlotMatrix:
     some of them; A keeps its own mirror defects, for every system on it,
     and its last fold, for every system whose data are even on the same
     axes.  `levels` are the solver's V-cycle levels for the matrix a solve
-    iterates on, the fold (A itself over no axes), None until a k = 1
-    solve builds them.  Nothing in a fold or its levels refers to A, so
+    iterates on, the fold (A itself over no axes), None until a solve
+    builds them.  Nothing in a fold or its levels refers to A, so
     all are freed with A."""
 
     def __init__(self, values, table):

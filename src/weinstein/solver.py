@@ -17,23 +17,19 @@ matrix built by hand that is not, solve unfolded.  A keeps its fold, so
 a second solve on the same A over the same axes, such as the calibration
 solve of `p_constancy` through `SparseSystem.with_data`, reuses it at
 every k.  The figures below are on folded systems, under one BLAS
-thread.  Both preconditioners scale rows by the l1-Jacobi scale
-m = -sum_j |a_ij| (Baker, Falgout, Kolev & Yang, SIAM J. Sci. Comput.
-33(5) (2011)) and differ in k only:
-
-- k = 1: an aggregation V-cycle (plain aggregation, Braess, Computing 55
-  (1995)) smoothed by x += (b - A x) / m.  On the (1, 2) ellipsoid at
-  a = 1 it takes 12, 13 and 17 iterations at h = 1/48, 1/96 and 1/192,
-  where a diagonal scale's count doubles with each halving of h (205,
-  395 and 920).  The levels are built once per matrix and kept on the
-  fold (`SlotMatrix.levels`); at h = 1/96 fold and levels hold 1.6 MB
-  beside A.
-- k >= 2: v -> v / m alone.  Those solves take tens of iterations, and
-  the V-cycle costs more than it saves (k = 2, h = 1/20: 2 + 8 ms
-  against 8 ms; k = 3, h = 1/10: 1 + 8 ms against 5 ms).  Every row is
-  in flux form in r (`operator._r_flux`), so A keeps the M-matrix sign
-  pattern at every a, and a large a needs no more iterations than a small
-  one: the unit ball at k = 2, h = 1/32 takes about 50 at a = 200.
+thread.  At every k the preconditioner is an aggregation V-cycle (plain
+aggregation, Braess, Computing 55 (1995)) smoothed by x += (b - A x) / m
+with the l1-Jacobi scale m = -sum_j |a_ij| (Baker, Falgout, Kolev & Yang,
+SIAM J. Sci. Comput. 33(5) (2011)), where m alone takes a count that
+grows like 1/h.  At a = 1 the (1, 2) ellipsoid takes 12,
+13 and 17 iterations at h = 1/48, 1/96 and 1/192 (m alone: 222, 425 and
+855), the unit ball at k = 2 takes 11, 14 and 18 at h = 1/16, 1/32 and
+1/64 (54, 109 and 200), and at k = 3 11, 14 and 15 at h = 1/10, 1/16
+and 1/24 (38, 60 and 85).  The levels are built once per matrix and
+kept on the fold (`SlotMatrix.levels`); at h = 1/96 on the ellipsoid
+fold and levels hold 1.6 MB beside A.  Every row is in flux form in r
+(`operator._r_flux`), so A keeps the M-matrix sign pattern at every a:
+the unit ball at k = 2, h = 1/32 takes 25 iterations at a = 200.
 
 Every level of the V-cycle keeps its operator in the slot layout of A
 (see `operator.SlotMatrix`), so the solver needs numpy alone.  There is
@@ -134,14 +130,18 @@ def _coarsen(values, columns, agg, n_coarse):
     A fine entry whose column lies in its row's own aggregate feeds the
     coarse diagonal; any other lies in the coarse neighbour in the same
     direction, so it keeps its slot.  An empty coarse slot holds 0 and the
-    row's own index."""
+    row's own index.  The coarse columns are int32, as the table's are; the
+    flat index of each entry's coarse slot is built in place in the intp
+    that `np.bincount` reads, which would copy any other."""
     width = values.shape[0]
     to = agg[columns]
-    slot = np.where(to == agg, width // 2, np.arange(width)[:, None])
-    coarse = np.bincount((slot * n_coarse + agg).ravel(), weights=values.ravel(),
+    flat = np.where(to == agg, width // 2, np.arange(width)[:, None])
+    flat *= n_coarse
+    flat += agg
+    coarse = np.bincount(flat.ravel(), weights=values.ravel(),
                          minlength=width * n_coarse).reshape(width, n_coarse)
-    coarse_columns = np.tile(np.arange(n_coarse), (width, 1))
-    coarse_columns[slot, agg] = to
+    coarse_columns = np.tile(np.arange(n_coarse, dtype=np.int32), (width, 1))
+    np.put(coarse_columns, flat, to)
     return coarse, coarse_columns
 
 
@@ -206,6 +206,7 @@ def _hierarchy(A):
         shape = (shape + 1) // 2
         parent = np.ravel_multi_index(tuple(c // 2 for c in coords), shape)
         nodes, agg = np.unique(parent, return_inverse=True)
+        agg = agg.astype(np.int32)  # as the table's columns are
         levels.append((values, columns, _l1_scale(values), agg))
         values, columns = _coarsen(values, columns, agg, nodes.size)
     rows = np.arange(nodes.size)
@@ -222,18 +223,16 @@ def _hierarchy(A):
 def _preconditioned(system, tol):
     """The matrix a solve of `system` to tol iterates on, A folded over
     the axes on which A and b are even (A itself over none), and its
-    preconditioner: the V-cycle at k = 1, v -> v / m at k >= 2, with m the
-    l1 scale `_l1_scale` that the V-cycle's finest level smooths with.
-
-    The aggregation V-cycle for the folded matrix F as v -> ~F^-1 v: each
-    coarse unknown is one 2 x ... x 2 block of F's lattice nodes (index
-    halved on every axis; a folded axis counts from its mirror plane)
-    holding at least one row; the coarse operator is P^T F P for the 0/1
-    aggregation P, kept as the aggregate index `agg` of each node (P^T r
-    sums r over each aggregate, P y copies y to its members).  Levels stop
-    at COARSEST unknowns, whose operator's exact inverse, from a band LU
-    without LAPACK (`_band_inverse`), is the bottom solve.  The smoother
-    is l1-Jacobi, x += (b - F x) / m with m = -sum_j |f_ij|: one sweep
+    preconditioner, at every k and size the aggregation V-cycle for the
+    folded matrix F as v -> ~F^-1 v: each coarse unknown is one
+    2 x ... x 2 block of F's lattice nodes (index halved on every axis; a
+    folded axis counts from its mirror plane) holding at least one row;
+    the coarse operator is P^T F P for the 0/1 aggregation P, kept as the
+    aggregate index `agg` of each node (P^T r sums r over each aggregate,
+    P y copies y to its members).  Levels stop at COARSEST unknowns, whose
+    operator's exact inverse, from a band LU without LAPACK
+    (`_band_inverse`), is the bottom solve.  The smoother is l1-Jacobi,
+    x += (b - F x) / m with m = -sum_j |f_ij| (`_l1_scale`): one sweep
     before the coarse correction (after x = b / m), two after it.  The
     piecewise-constant P undershoots smooth errors, so the coarse
     correction is scaled by OVERCORRECTION; unscaled, the ellipsoid counts
@@ -241,9 +240,6 @@ def _preconditioned(system, tol):
     levels on F (`SlotMatrix.levels`), for later solves over the same axes.
     """
     folded = system.A.fold(system.A.even_axes(system.b, tol))
-    if system.grid.k > 1:
-        m = _l1_scale(folded.values)
-        return folded, lambda v: v / m
     if folded.levels is None:
         folded.levels = _hierarchy(folded)
     levels, coarsest = folded.levels

@@ -5,8 +5,8 @@ and the failure contract (best iterate always attached).
 `bicgstab` on a scipy copy of -A with a row scale as a `LinearOperator`
 and the iterations counted by a callback.  The written-out loop must
 reproduce its solutions bit for bit, with the same iteration counts,
-under the l1 scale of the k >= 2 solves and under the k = 1 V-cycle.
-scipy is a test reference only: the package runs on numpy alone.
+under the l1 row scale alone and under the V-cycle that `solve` uses at
+every k.  scipy is a test reference only: the package runs on numpy alone.
 """
 
 import dataclasses
@@ -150,7 +150,9 @@ def test_no_convergence_carries_best_iterate_and_report():
 
 
 def _l1(A):
-    """The k >= 2 preconditioner of A, v -> v / m for m = `_l1_scale(A.values)`."""
+    """The l1 row scale of A as a preconditioner, v -> v / m for
+    m = `_l1_scale(A.values)`: the scale the V-cycle smooths with, on its
+    own the loop's plainest scipy reference."""
     m = solver_module._l1_scale(A.values)
     return lambda v: v / m
 
@@ -206,21 +208,14 @@ def test_bicgstab_loop_reproduces_scipy_bit_for_bit(domain, h):
     assert not broke_down
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert its == iterations
-    if system.grid.k > 1:  # solve scales by m alone there, on the folded system
-        folded, _ = solver_module._preconditioned(system, 1e-10)
-        assert folded.shape[0] * 2 ** system.grid.k == system.n
-        want, iterations = _scipy_reference(folded, system.b[folded.table.rows])
-        u, report = solve(system)
-        assert u.active.tobytes() == want[folded.table.unfold].tobytes()
-        assert report.iterations == iterations
 
 
 @_needs_rtol
-@pytest.mark.parametrize("domain,h", [c for c in _REFERENCE_CASES if len(c[0].center) == 1])
+@pytest.mark.parametrize("domain,h", _REFERENCE_CASES)
 def test_vcycle_loop_reproduces_scipy_bit_for_bit(domain, h):
     system = _reference_system(domain, h)
     folded, precond = solver_module._preconditioned(system, 1e-10)
-    assert folded.shape[0] * 2 == system.n
+    assert folded.shape[0] * 2 ** system.grid.k == system.n
     want, iterations = _scipy_reference(folded, system.b[folded.table.rows], precond)
     u, report = solve(system)
     got = u.active
@@ -231,8 +226,9 @@ def test_vcycle_loop_reproduces_scipy_bit_for_bit(domain, h):
 
 def test_breakdown_raises_after_one_restart(monkeypatch):
     # skew 2x2 blocks with a zero diagonal: every l1 row sum is 1, and under
-    # that scale, which k = 2 uses, rtilde . v vanishes exactly at once (the
-    # k = 1 V-cycle inverts the blocks exactly)
+    # that scale alone rtilde . v vanishes exactly at once (in the V-cycle
+    # the blocks cancel inside each aggregate, and its coarse operator is
+    # zero), so the solve is preconditioned by the scale alone
     sys0 = _ball_system(h=1.0 / 8, k=2)
     n = sys0.n
     assert n % 2 == 0
@@ -253,6 +249,8 @@ def test_breakdown_raises_after_one_restart(monkeypatch):
         return loop(*args)
 
     monkeypatch.setattr(solver_module, "_bicgstab", counted)
+    monkeypatch.setattr(solver_module, "_preconditioned",
+                        lambda system, tol: (system.A, _l1(system.A)))
     with pytest.raises(BreakdownDetected) as err:
         solve(system)
     assert len(runs) == 2
@@ -277,7 +275,7 @@ def test_vcycle_solves_the_large_a_ball():
 def test_large_a_balls_solve_at_k_two_and_three(k, a, h):
     # beside the axis these rows are not diagonally dominant (at a = 40, k = 2
     # an absolute row sum is 5.9 times its diagonal), and BiCGStab scaled by
-    # the diagonal overflows to NaN or breaks down twice; the l1 scale solves
+    # the diagonal overflows to NaN or breaks down twice; the V-cycle solves
     system = _ball_system(h=h, a=a, k=k)
     u, report = solve(system)
     assert report.converged
@@ -289,15 +287,11 @@ def test_large_a_balls_solve_at_k_two_and_three(k, a, h):
 
 @pytest.mark.parametrize("k,h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
 def test_both_preconditioners_read_one_l1_scale(k, h):
+    # the V-cycle's finest level smooths with the l1 scale of the fold
     system = _ball_system(h=h, k=k)
-    folded, precond = solver_module._preconditioned(system, 1e-10)
-    m = solver_module._l1_scale(folded.values)
-    if k == 1:  # the V-cycle's finest level smooths with m
-        levels, _ = folded.levels
-        assert levels[0][2].tobytes() == m.tobytes()
-    else:  # v -> v / m
-        v = np.random.default_rng(k).standard_normal(folded.shape[0])
-        assert precond(v).tobytes() == (v / m).tobytes()
+    folded, _ = solver_module._preconditioned(system, 1e-10)
+    levels, _ = folded.levels
+    assert levels[0][2].tobytes() == solver_module._l1_scale(folded.values).tobytes()
 
 
 @pytest.mark.parametrize("k,h", [(1, 1 / 32), (2, 1 / 16), (3, 1 / 8)])
@@ -316,12 +310,9 @@ def test_one_fold_is_built_per_matrix_and_freed_with_it(monkeypatch, k, h):
     assert len(built) == 1 and folded.table is built[0]
     assert folded.shape[0] * 2 ** k == system.n
     assert system.A.levels is None
-    if k == 1:  # the V-cycle's levels, built on the fold
-        levels, _ = folded.levels
-        assert levels[0][0] is folded.values and levels[0][1] is folded.table.columns
-        del levels
-    else:  # the l1 scale alone
-        assert folded.levels is None
+    levels, _ = folded.levels  # the V-cycle's levels, built on the fold
+    assert levels[0][0] is folded.values and levels[0][1] is folded.table.columns
+    del levels
     refs = [weakref.ref(obj) for obj in (system.A, folded, folded.table)]
     del built, folded
     gc.disable()
@@ -360,16 +351,13 @@ def test_max_iter_caps_a_solve_that_restarts(monkeypatch):
 
 
 def _full_solve(system, tol):
-    """x of `_bicgstab` on the whole system, with the preconditioner solve
-    builds for an unfolded matrix of its k."""
+    """x of `_bicgstab` on the whole system, with the V-cycle solve builds
+    for an unfolded matrix."""
     A = system.A
-    if system.grid.k == 1:
-        levels, coarsest = solver_module._hierarchy(A)
-        precond = lambda v: solver_module._cycle(levels, coarsest, v)  # noqa: E731
-    else:
-        precond = _l1(A)
+    levels, coarsest = solver_module._hierarchy(A)
     x, _, broke_down = solver_module._bicgstab(
-        A, system.b, precond, np.zeros(system.n), tol * np.linalg.norm(system.b), 20000)
+        A, system.b, lambda v: solver_module._cycle(levels, coarsest, v),
+        np.zeros(system.n), tol * np.linalg.norm(system.b), 20000)
     assert not broke_down
     return x
 
@@ -462,19 +450,19 @@ def test_a_hand_built_matrix_that_is_not_even_is_solved_unfolded():
 
 
 def test_vcycle_iterations_barely_grow_with_refinement():
-    dom = Ellipsoid(semi_axes=(1.0, 2.0))
-    its = {}
-    for h in (1 / 48, 1 / 192):
-        system = assemble_torsion_system(dom, StaggeredGrid.from_domain(dom, h),
-                                         WeinsteinParams(a=1.0, k=1))
-        its[h] = solve(system)[1].iterations
-    assert 1 <= its[1 / 192] <= 2 * its[1 / 48]
-    assert its[1 / 192] < 60
+    # the l1 scale alone takes 222 and 855 iterations on the ellipsoid,
+    # 54 and 109 on the k = 2 ball and 26 and 60 on the k = 3 one
+    for dom, coarse, fine in ((Ellipsoid(semi_axes=(1.0, 2.0)), 1 / 48, 1 / 192),
+                              (Ball(1.0, center=(0.0, 0.0)), 1 / 16, 1 / 32),
+                              (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 8, 1 / 16)):
+        its = [solve(_reference_system(dom, h))[1].iterations for h in (coarse, fine)]
+        assert 1 <= its[1] <= 2 * its[0]
+        assert max(its) <= 20
 
 
 def test_runs_import_no_scipy(tmp_path):
-    # a full k = 1 battery (the V-cycle path) and a k = 2 sweep point (the
-    # l1-scale path) in a fresh interpreter leave no scipy module loaded
+    # a full k = 1 battery and a k = 2 sweep point, both preconditioned by
+    # the V-cycle, in a fresh interpreter leave no scipy module loaded
     verify = {"params": {"a": 1.0, "k": 1},
               "domain": {"type": "ellipsoid", "semi_axes": [1.0, 2.0], "center": [0.01]},
               "grid": {"h": 1 / 16}, "output_dir": str(tmp_path / "verify")}
@@ -561,15 +549,19 @@ def test_coarsest_inverse_does_not_depend_on_the_thread_count():
 _LAPACK = ("pinv", "inv", "solve", "svd", "lstsq", "qr", "eig", "eigh", "cholesky", "det")
 
 
-def test_a_k1_run_calls_no_lapack(monkeypatch):
+@pytest.mark.parametrize("domain,h", [
+    (Ellipsoid(semi_axes=(1.0, 2.0)), 1 / 32),
+    (Ball(1.0, center=(0.0, 0.0)), 1 / 16),
+    (Ball(1.0, center=(0.0, 0.0, 0.0)), 1 / 8),
+])
+def test_a_run_calls_no_lapack_at_any_k(monkeypatch, domain, h):
     # the first LAPACK call of a process pages in several MB
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called")
 
     for name in _LAPACK:
         monkeypatch.setattr(np.linalg, name, refuse)
-    report = run_experiment(Ellipsoid(semi_axes=(1.0, 2.0)), WeinsteinParams(a=1.0, k=1),
-                            h=1.0 / 32)
+    report = run_experiment(domain, WeinsteinParams(a=1.0, k=domain.k), h=h)
     assert report.solver.converged
     assert [c.name for c in report.checks] == list(CHECK_NAMES)
     assert not [c.name for c in report.checks if c.detail.startswith("skipped")]
